@@ -64,7 +64,7 @@ def _cmd_learn(args) -> int:
     data = _read_data(args)
     if args.order:
         data = data.reorder(args.order)
-    cfg = SearchConfig(rng_seed=args.seed)
+    cfg = SearchConfig()
     if args.enumerate_orders:
         order, tree = enumerate_orders(data, fixed_last=args.fix_last, algo=args.algo, cfg=cfg)
         data = data.reorder(order)
@@ -84,7 +84,7 @@ def _cmd_learn(args) -> int:
 
 def _cmd_refine(args) -> int:
     data = _read_data(args)
-    cfg = SearchConfig(rng_seed=args.seed)
+    cfg = SearchConfig()
     if args.dag is None:
         dag = learn_dag(data, cfg)
     else:
@@ -174,7 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="with --enumerate-orders, pin this variable last")
     p.add_argument("--enumerate-orders", action="store_true",
                    help="search every variable order (p <= 8)")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="model document to write")
     p.set_defaults(func=_cmd_learn)
 
@@ -183,7 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dag", default=None,
                    help="DAG document; learned from the data when omitted")
     p.add_argument("--algo", choices=("bhc", "csbhc"), default="bhc")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="model document to write")
     p.set_defaults(func=_cmd_refine)
 

@@ -24,6 +24,8 @@ from .core import (
     StageVector,
     canonical_symbols,
     lex_index,
+    reshape_mat,
+    vec_transpose,
 )
 
 __all__ = [
@@ -118,22 +120,21 @@ def _classify_level(space: SampleSpace, depth: int, symbols: Sequence[Hashable])
     first row (no edge; that coordinate is dropped).
     """
     sizes = space.level_counts
-    a = list(canonical_symbols(symbols))
+    a = canonical_symbols(symbols)
     axes = list(range(depth))
     labels: dict[int, DependenceLabel] = {}
     evidence: dict[int, EdgeEvidence] = {}
     for j in range(depth - 1, -1, -1):
         m = sizes[j]
-        ncols = len(a) // m
-        columns = [a[k * m:(k + 1) * m] for k in range(ncols)]
+        rows = reshape_mat(a, m)
+        columns = list(zip(*rows))
         col_counts = [len(set(col)) for col in columns]
         ctx_axes = axes[:-1]
         if max(col_counts) == 1:
             # every context column is constant: j is not a parent
-            a = [col[0] for col in columns]
+            a = rows[0]
             axes.pop()
             continue
-        rows = [a[u::m] for u in range(m)]
         row_counts = [len(set(row)) for row in rows]
         total = len(set(a))
         context_witnesses = []
@@ -169,7 +170,7 @@ def _classify_level(space: SampleSpace, depth: int, symbols: Sequence[Hashable])
             context_witnesses=tuple(context_witnesses),
             partial_witnesses=tuple(partial_witnesses),
         )
-        a = [sym for row in rows for sym in row]
+        a = vec_transpose(rows)
         axes = [j] + ctx_axes
     return labels, evidence
 

@@ -22,6 +22,7 @@ import numpy as np
 __all__ = [
     "InvalidArgumentError",
     "UnfittedModelError",
+    "UnsupportedSizeError",
     "SampleSpace",
     "StageVector",
     "StagedTree",
@@ -40,6 +41,10 @@ __all__ = [
 
 PROB_TOL = 1e-9
 
+# largest sample space accepted: counts, level tables and saturated stage
+# vectors are dense over the cells, and 2**24 cells is 128 MB of int64 counts
+MAX_CELLS = 1 << 24
+
 
 class InvalidArgumentError(ValueError):
     """An argument violates a documented precondition."""
@@ -47,6 +52,10 @@ class InvalidArgumentError(ValueError):
 
 class UnfittedModelError(RuntimeError):
     """An operation needing fitted distributions was called on an unfitted tree."""
+
+
+class UnsupportedSizeError(ValueError):
+    """A size guard was exceeded."""
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +71,8 @@ class SampleSpace:
     variables : sequence of (name, levels)
         Variable names must be unique; level names unique within a variable;
         every variable needs at least two levels (a one-level variable is
-        constant and rejected).
+        constant and rejected).  The product of the level counts may not
+        exceed MAX_CELLS (UnsupportedSizeError).
     """
 
     variables: tuple[tuple[str, tuple[str, ...]], ...]
@@ -81,6 +91,10 @@ class SampleSpace:
                 raise InvalidArgumentError(f"variable {name!r} has fewer than two levels")
             if len(set(levels)) != len(levels):
                 raise InvalidArgumentError(f"duplicate levels for variable {name!r}")
+        if self.n_cells > MAX_CELLS:
+            raise UnsupportedSizeError(
+                f"the sample space has {self.n_cells} cells, more than the "
+                f"{MAX_CELLS} supported")
 
     @property
     def p(self) -> int:

@@ -219,6 +219,27 @@ def _atomic_write(path, text: str) -> None:
         raise
 
 
+def _parse_document(text: str) -> dict:
+    """Decode a JSON document and check its format version."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as err:
+        raise InvalidArgumentError(f"not valid JSON: {err}") from None
+    if not isinstance(doc, dict) or doc.get("format_version") != FORMAT_VERSION:
+        raise InvalidArgumentError("unsupported or missing format_version")
+    return doc
+
+
+def _read_document(path, what: str) -> dict:
+    """Read a versioned JSON document; every failure is an InvalidArgumentError."""
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as err:
+        raise InvalidArgumentError(f"cannot read {what} {path}: {err}") from None
+    return _parse_document(text)
+
+
 def _space_json(space: SampleSpace) -> list:
     return [{"name": name, "levels": list(lv)} for name, lv in space.variables]
 
@@ -301,12 +322,14 @@ class ModelDocument:
 
     @classmethod
     def from_json(cls, text: str) -> "ModelDocument":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as err:
-            raise InvalidArgumentError(f"not valid JSON: {err}") from None
-        if not isinstance(doc, dict) or doc.get("format_version") != FORMAT_VERSION:
-            raise InvalidArgumentError("unsupported or missing format_version")
+        return cls._from_document(_parse_document(text))
+
+    @classmethod
+    def load(cls, path) -> "ModelDocument":
+        return cls._from_document(_read_document(path, "model"))
+
+    @classmethod
+    def _from_document(cls, doc: dict) -> "ModelDocument":
         try:
             space = _space_from_json(doc["variables"])
             vectors = tuple(StageVector(d, tuple(int(s) for s in symbols))
@@ -345,15 +368,6 @@ class ModelDocument:
             raise InvalidArgumentError(f"malformed model document: {err}") from None
         return cls(tree, aldag, report, trace)
 
-    @classmethod
-    def load(cls, path) -> "ModelDocument":
-        try:
-            with open(path) as fh:
-                text = fh.read()
-        except OSError as err:
-            raise InvalidArgumentError(f"cannot read model {path}: {err}") from None
-        return cls.from_json(text)
-
 
 # ---------------------------------------------------------------------------
 # DAGs and spaces as JSON
@@ -371,15 +385,7 @@ def save_dag(dag: Dag, path, names=None) -> None:
 
 def load_dag(path):
     """Load a DAG document; returns (Dag, names or None)."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as err:
-        raise InvalidArgumentError(f"cannot read DAG {path}: {err}") from None
-    except json.JSONDecodeError as err:
-        raise InvalidArgumentError(f"{path} is not valid JSON: {err}") from None
-    if not isinstance(doc, dict) or doc.get("format_version") != FORMAT_VERSION:
-        raise InvalidArgumentError("unsupported or missing format_version")
+    doc = _read_document(path, "DAG")
     try:
         dag = Dag(int(doc["p"]), frozenset((int(j), int(i)) for j, i in doc["edges"]))
         names = doc.get("variables")
@@ -400,16 +406,7 @@ def save_space(space: SampleSpace, path) -> None:
 
 
 def load_space(path) -> SampleSpace:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as err:
-        raise InvalidArgumentError(f"cannot read space {path}: {err}") from None
-    except json.JSONDecodeError as err:
-        raise InvalidArgumentError(f"{path} is not valid JSON: {err}") from None
-    if not isinstance(doc, dict) or doc.get("format_version") != FORMAT_VERSION:
-        raise InvalidArgumentError("unsupported or missing format_version")
-    return _space_from_json(doc.get("variables", []))
+    return _space_from_json(_read_document(path, "space").get("variables", []))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Greedy score-guided search over stagings and DAGs.
 
-All searches are steepest-ascent per level with deterministic tie-breaking
-(smallest score delta first, then the smallest affected stage ids), a strict
-improvement threshold of 1e-9 on the score delta, and per-level sweeps run
-to their local fixpoint.  Scores decompose over levels, so a per-level
-fixpoint is a fixpoint of the whole model.
+`bhc`, `hc` and `csbhc` share one steepest-descent engine and differ only
+in the moves they score, level by level, as one array of score deltas.  The
+pick rule, shared with `learn_dag`: the smallest delta below -1e-9 wins and
+exact ties go to the smallest affected ids.  Each level runs to its local
+fixpoint; scores decompose over levels, so that is a fixpoint of the model.
 """
 from __future__ import annotations
 
@@ -22,9 +22,12 @@ from .core import (
     SampleSpace,
     StagedTree,
     StageVector,
+    UnsupportedSizeError,
     canonical_symbols,
+    reshape_mat,
+    vec_transpose,
 )
-from .scoring import FitConfig, _stage_loglik, score
+from .scoring import FitConfig, _loglik, _stage_counts, score
 
 __all__ = [
     "UnsupportedSizeError",
@@ -42,26 +45,18 @@ __all__ = [
 IMPROVEMENT_EPS = 1e-9
 
 
-class UnsupportedSizeError(ValueError):
-    """A size guard was exceeded."""
-
-
 @dataclass(frozen=True)
 class SearchConfig:
     """Knobs shared by every search.
 
     score : "bic" or "aic".
     max_iter : cap on accepted moves per level (None = until fixpoint).
-    rng_seed : reserved for tie-breaking; the deterministic lexicographic
-        policy leaves no ties to randomize, so the value never changes the
-        result.  Kept so callers can pin it in configuration files.
     scope : depths to search (subset of 1..p-1); other levels pass through
         untouched.
     """
 
     score: str = "bic"
     max_iter: int | None = None
-    rng_seed: int = 0
     scope: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
@@ -123,162 +118,147 @@ def _levels_to_search(p: int, cfg: SearchConfig):
     return list(cfg.scope)
 
 
-class _LevelState:
-    """Count vectors and log-likelihood terms per stage at one depth."""
-
-    def __init__(self, table: np.ndarray, symbols):
-        self.table = table
-        self.symbols = list(symbols)
-        self.counts: dict[int, np.ndarray] = {}
-        for row, sym in zip(table, self.symbols):
-            if sym in self.counts:
-                self.counts[sym] = self.counts[sym] + row
-            else:
-                self.counts[sym] = row.copy()
-        self.loglik = {sym: _stage_loglik(c) for sym, c in self.counts.items()}
-
-    def merge(self, survivor: int, removed) -> None:
-        merged = self.counts[survivor].copy()
-        for sym in removed:
-            merged += self.counts.pop(sym)
-            del self.loglik[sym]
-        self.counts[survivor] = merged
-        self.loglik[survivor] = _stage_loglik(merged)
-        removed_set = set(removed)
-        self.symbols = [survivor if s in removed_set else s for s in self.symbols]
-
-    def reassign(self, vertex: int, dest: int) -> None:
-        src = self.symbols[vertex]
-        row = self.table[vertex]
-        remaining = self.counts[src] - row
-        if remaining.sum() == 0 and not any(
-                s == src for v, s in enumerate(self.symbols) if v != vertex):
-            del self.counts[src]
-            del self.loglik[src]
-        else:
-            self.counts[src] = remaining
-            self.loglik[src] = _stage_loglik(remaining)
-        if dest in self.counts:
-            self.counts[dest] = self.counts[dest] + row
-        else:
-            self.counts[dest] = row.copy()
-        self.loglik[dest] = _stage_loglik(self.counts[dest])
-        self.symbols[vertex] = dest
+# candidate count vectors scored per block; bounds the memory of one search step
+_BLOCK_ELEMENTS = 1 << 18
 
 
-def _best_pair_merge(state: _LevelState, per_stage_penalty: float):
-    best = None
-    for s1, s2 in itertools.combinations(sorted(state.counts), 2):
-        gain = (_stage_loglik(state.counts[s1] + state.counts[s2])
-                - state.loglik[s1] - state.loglik[s2])
-        delta = -2.0 * gain - per_stage_penalty
-        key = (delta, (s1, s2))
-        if delta < -IMPROVEMENT_EPS and (best is None or key < best):
-            best = key
-    return best
+def _pick(deltas: np.ndarray) -> int | None:
+    """Flat index of the smallest delta below -IMPROVEMENT_EPS, or None.
+
+    Candidate arrays are laid out in the order of the tie rule, so argmin's
+    first occurrence breaks exact ties toward the smallest ids.
+    """
+    if not deltas.size:
+        return None
+    best = int(np.argmin(deltas))
+    return best if deltas.flat[best] < -IMPROVEMENT_EPS else None
 
 
-def _best_reassignment(state: _LevelState, per_stage_penalty: float):
-    # moving a vertex into another stage, or out into a fresh singleton
-    best = None
-    fresh = max(state.counts) + 1
-    members: dict[int, int] = {}
-    for s in state.symbols:
-        members[s] = members.get(s, 0) + 1
-    for vertex, src in enumerate(state.symbols):
-        row = state.table[vertex]
-        base = state.loglik[src]
-        rest = _stage_loglik(state.counts[src] - row)
-        singleton = members[src] == 1
-        for dest in sorted(state.counts):
-            if dest == src:
-                continue
-            gain = (rest + _stage_loglik(state.counts[dest] + row)
-                    - base - state.loglik[dest])
-            delta = -2.0 * gain - (per_stage_penalty if singleton else 0.0)
-            key = (delta, vertex, dest)
-            if delta < -IMPROVEMENT_EPS and (best is None or key < best):
-                best = key
-        if not singleton:
-            gain = rest + _stage_loglik(row) - base
-            delta = -2.0 * gain + per_stage_penalty
-            key = (delta, vertex, fresh)
-            if delta < -IMPROVEMENT_EPS and (best is None or key < best):
-                best = key
-    return best, fresh
+def _merged_loglik(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Matrix of _loglik(left[i] + right[j]), scored in row blocks."""
+    out = np.empty((len(left), len(right)))
+    step = max(1, _BLOCK_ELEMENTS // right.size)
+    for a in range(0, len(left), step):
+        out[a:a + step] = _loglik(left[a:a + step, None] + right[None])
+    return out
+
+
+def _pair_joins(table, sizes, penalty, assign, ids, counts, loglik):
+    """bhc candidates: join stages s1 < s2, the upper triangle of an S x S matrix."""
+    # in place, so the S x S matrix is the only full-size array
+    deltas = _merged_loglik(counts, counts)
+    deltas -= loglik[:, None]
+    deltas -= loglik
+    deltas *= -2.0
+    deltas -= penalty
+    deltas[np.tril_indices(len(ids))] = np.inf
+
+    def move(best):
+        s1, s2 = (int(ids[i]) for i in divmod(best, len(ids)))
+        return "join", (s1, s2), assign == s2, s1
+    return deltas, move
+
+
+def _vertex_moves(table, sizes, penalty, assign, ids, counts, loglik):
+    """hc candidates: move one vertex to another stage or to a fresh singleton.
+
+    Row v holds vertex v's moves to every stage in id order, then to the
+    fresh stage, whose id exceeds every existing one; the fresh stage is
+    scored as an empty stage with zero log-likelihood.
+    """
+    src = np.searchsorted(ids, assign)
+    singleton = np.bincount(src, minlength=len(ids))[src] == 1
+    deltas = _merged_loglik(table, np.vstack([counts, np.zeros(counts.shape[1])]))
+    deltas += _loglik(counts[src] - table)[:, None]
+    deltas -= loglik[src, None]
+    deltas -= np.append(loglik, 0.0)
+    deltas *= -2.0
+    deltas[:, :-1] -= np.where(singleton, penalty, 0.0)[:, None]
+    deltas[:, -1] += penalty
+    deltas[np.arange(len(assign)), src] = np.inf
+    deltas[singleton, -1] = np.inf
+
+    def move(best):
+        vertex, col = divmod(best, len(ids) + 1)
+        split = col == len(ids)
+        dest = int(ids[-1]) + 1 if split else int(ids[col])
+        return "split" if split else "join", (int(assign[vertex]), dest), vertex, dest
+    return deltas, move
 
 
 def _column_merge_groups(sizes_prefix, symbols):
     """Stage sets appearing together in one context column of some reshape."""
     groups = set()
-    a = list(symbols)
-    for j in range(len(sizes_prefix) - 1, -1, -1):
-        m = sizes_prefix[j]
-        ncols = len(a) // m
-        for k in range(ncols):
-            col = set(a[k * m:(k + 1) * m])
-            if len(col) > 1:
-                groups.add(tuple(sorted(col)))
-        a = [a[k * m + u] for u in range(m) for k in range(ncols)]
+    a = tuple(symbols)
+    for m in reversed(sizes_prefix):
+        mat = reshape_mat(a, m)
+        for column in zip(*mat):
+            stages = set(column)
+            if len(stages) > 1:
+                groups.add(tuple(sorted(stages)))
+        a = vec_transpose(mat)
     return sorted(groups)
 
 
-def _best_column_merge(state: _LevelState, sizes_prefix, per_stage_penalty: float):
-    best = None
-    for group in _column_merge_groups(sizes_prefix, state.symbols):
-        merged = state.counts[group[0]].copy()
-        for sym in group[1:]:
-            merged += state.counts[sym]
-        gain = _stage_loglik(merged) - sum(state.loglik[s] for s in group)
-        delta = -2.0 * gain - (len(group) - 1) * per_stage_penalty
-        key = (delta, group)
-        if delta < -IMPROVEMENT_EPS and (best is None or key < best):
-            best = key
-    return best
+def _column_joins(table, sizes, penalty, assign, ids, counts, loglik):
+    """csbhc candidates: merge the stages of one context column, groups in sorted order."""
+    groups = _column_merge_groups(sizes, assign.tolist())
+    # stage index len(ids) is an empty pad that widens every group to the longest
+    rows = np.full((len(groups), max(map(len, groups), default=1)), len(ids))
+    for r, group in enumerate(groups):
+        rows[r, :len(group)] = np.searchsorted(ids, group)
+    counts = np.vstack([counts, np.zeros(counts.shape[1])])
+    loglik = np.append(loglik, 0.0)
+    parts = loglik[rows[:, 0]]
+    for col in rows.T[1:]:
+        parts += loglik[col]  # left to right, as sum() adds a group's terms
+    gain = _loglik(counts[rows].sum(axis=1)) - parts
+    joined = np.array([len(group) - 1 for group in groups])
+    deltas = -2.0 * gain - joined * penalty
+
+    def move(best):
+        group = groups[best]
+        return "column-join", group, np.isin(assign, group[1:]), group[0]
+    return deltas, move
 
 
-def _run_search(kind: str, start: StagedTree, data: Dataset, cfg: SearchConfig):
+def _run_search(candidates, start: StagedTree, data: Dataset, cfg: SearchConfig):
+    """Greedy per-level search; `candidates` scores one level's moves as an array.
+
+    It is called with the level table, the level counts of the preceding
+    variables, the score cost of one more stage, the stage id of every vertex,
+    the sorted stage ids with their S x K count matrix and log-likelihoods; it
+    returns the deltas, laid out in tie order, and a function that turns the
+    picked index into (kind, stages, vertices to relabel, their new id).
+    """
     _check_search_inputs(start, data)
     unit = _penalty_unit(cfg, data.n)
     current = _initial_score(start, data, cfg)
     steps: list[TraceStep] = []
-    vectors = {d: list(canonical_symbols(start.symbols_at(d))) for d in range(1, start.p)}
+    sizes = start.space.level_counts
+    vectors = {d: canonical_symbols(start.symbols_at(d)) for d in range(1, start.p)}
     for depth in _levels_to_search(start.p, cfg):
-        k = start.space.level_counts[depth]
-        per_stage_penalty = (k - 1) * unit
-        state = _LevelState(data.level_table(depth), vectors[depth])
-        sizes_prefix = start.space.level_counts[:depth]
+        table = data.level_table(depth)
+        penalty = (sizes[depth] - 1) * unit
+        assign = np.array(vectors[depth])
         accepted = 0
         while cfg.max_iter is None or accepted < cfg.max_iter:
-            if kind == "bhc":
-                found = _best_pair_merge(state, per_stage_penalty)
-                if found is None:
-                    break
-                delta, (s1, s2) = found
-                state.merge(s1, (s2,))
-                move = TraceStep(depth, "join", (s1, s2), current, current + delta)
-            elif kind == "csbhc":
-                found = _best_column_merge(state, sizes_prefix, per_stage_penalty)
-                if found is None:
-                    break
-                delta, group = found
-                state.merge(group[0], group[1:])
-                move = TraceStep(depth, "column-join", group, current, current + delta)
-            else:  # hc
-                found, fresh = _best_reassignment(state, per_stage_penalty)
-                if found is None:
-                    break
-                delta, vertex, dest = found
-                src = state.symbols[vertex]
-                state.reassign(vertex, dest)
-                move = TraceStep(depth, "split" if dest == fresh else "join",
-                                 (src, dest), current, current + delta)
-            current = move.score_after
-            steps.append(move)
+            ids, stage_of = np.unique(assign, return_inverse=True)
+            counts = _stage_counts(table, stage_of, len(ids))
+            deltas, move = candidates(table, sizes[:depth], penalty, assign, ids, counts,
+                                      _loglik(counts))
+            best = _pick(deltas)
+            if best is None:
+                break
+            kind, stages, rows, dest = move(best)
+            assign[rows] = dest
+            delta = float(deltas.flat[best])
+            steps.append(TraceStep(depth, kind, stages, current, current + delta))
+            current += delta
             accepted += 1
-        vectors[depth] = state.symbols
+        vectors[depth] = canonical_symbols(assign.tolist())
     tree = StagedTree(start.space, tuple(
-        StageVector(d, canonical_symbols(vectors[d])) for d in range(1, start.p)))
+        StageVector(d, vectors[d]) for d in range(1, start.p)))
     return tree, SearchTrace(tuple(steps))
 
 
@@ -288,7 +268,7 @@ def bhc(start: StagedTree, data: Dataset, cfg: SearchConfig = SearchConfig()):
     Join-only, so the result is always a coarsening of the start
     (staging_refines(start, result) holds).
     """
-    return _run_search("bhc", start, data, cfg)
+    return _run_search(_pair_joins, start, data, cfg)
 
 
 def hc(start: StagedTree, data: Dataset, cfg: SearchConfig = SearchConfig()):
@@ -297,7 +277,7 @@ def hc(start: StagedTree, data: Dataset, cfg: SearchConfig = SearchConfig()):
     The neighborhood of one move reassigns a depth-d vertex to any other
     existing stage at that depth or to a fresh singleton stage.
     """
-    return _run_search("hc", start, data, cfg)
+    return _run_search(_vertex_moves, start, data, cfg)
 
 
 def csbhc(start: StagedTree, data: Dataset, cfg: SearchConfig = SearchConfig()):
@@ -309,7 +289,7 @@ def csbhc(start: StagedTree, data: Dataset, cfg: SearchConfig = SearchConfig()):
     column makes that column constant, so the result never exhibits a local
     dependence pattern when started from the saturated staging.
     """
-    return _run_search("csbhc", start, data, cfg)
+    return _run_search(_column_joins, start, data, cfg)
 
 
 def default_start(algo: str, space: SampleSpace) -> StagedTree:
@@ -348,7 +328,7 @@ def _family_score(data: Dataset, child: int, parents: tuple[int, ...], unit: flo
     if drop:
         t = t.sum(axis=drop)
     t = t.reshape(-1, sizes[child])
-    log_lik = sum(_stage_loglik(row) for row in t)
+    log_lik = sum(_loglik(t).tolist())
     df = math.prod(sizes[j] for j in parents) * (sizes[child] - 1)
     return -2.0 * log_lik + df * unit
 
@@ -371,19 +351,17 @@ def learn_dag(data: Dataset, cfg: SearchConfig = SearchConfig(),
     parents: dict[int, set[int]] = {i: set() for i in range(p)}
     family = {i: _family_score(data, i, (), unit) for i in range(p)}
     while True:
-        best = None
+        # deltas[i, j] toggles edge (j, i); row-major order is the tie order
+        deltas = np.full((p, p), np.inf)
         for i in range(p):
             for j in range(i):
-                if sink is not None and j == sink:
-                    continue
-                candidate = tuple(sorted(parents[i] ^ {j}))
-                delta = _family_score(data, i, candidate, unit) - family[i]
-                key = (delta, i, j)
-                if delta < -IMPROVEMENT_EPS and (best is None or key < best):
-                    best = key
+                if j != sink:
+                    candidate = tuple(sorted(parents[i] ^ {j}))
+                    deltas[i, j] = _family_score(data, i, candidate, unit) - family[i]
+        best = _pick(deltas)
         if best is None:
             break
-        _, i, j = best
+        i, j = divmod(best, p)
         parents[i] ^= {j}
         family[i] = _family_score(data, i, tuple(sorted(parents[i])), unit)
     return Dag(p, frozenset((j, i) for i in range(p) for j in parents[i]))

@@ -17,6 +17,7 @@ from .core import (
     InvalidArgumentError,
     StagedTree,
     UnfittedModelError,
+    canonical_symbols,
     lex_index,
 )
 
@@ -28,19 +29,15 @@ __all__ = ["FitConfig", "ScoreReport", "fit", "joint_probability",
 class FitConfig:
     """Smoothing for stage distributions.
 
-    smoothing : additive count added to every cell (0 = pure MLE).
-    zero_count_policy : what a zero-count stage gets when smoothing is 0;
-        only "uniform_fallback" exists.
+    smoothing : additive count added to every cell (0 = pure MLE; a stage
+        that was never observed then falls back to the uniform distribution).
     """
 
     smoothing: float = 0.0
-    zero_count_policy: str = "uniform_fallback"
 
     def __post_init__(self) -> None:
         if self.smoothing < 0:
             raise InvalidArgumentError("smoothing must be nonnegative")
-        if self.zero_count_policy != "uniform_fallback":
-            raise InvalidArgumentError(f"unknown zero_count_policy {self.zero_count_policy!r}")
 
 
 @dataclass(frozen=True)
@@ -52,24 +49,48 @@ class ScoreReport:
     n: int
 
 
-def _stage_loglik(counts: np.ndarray) -> float:
-    """Maximized multinomial log-likelihood sum(c * ln(c / total)) of one stage."""
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    nz = counts[counts > 0]
-    return float((nz * np.log(nz / total)).sum())
+def _loglik(counts: np.ndarray, smoothing: float = 0.0) -> np.ndarray:
+    """Log-likelihood sum(c * ln(prob)) of each count vector along the last axis.
+
+    prob is the fitted stage distribution (c + smoothing) / (total +
+    smoothing * K); with zero smoothing this is the maximized multinomial
+    log-likelihood sum(c * ln(c / total)).  Zero counts contribute nothing,
+    and each row's nonzero terms are summed exactly as numpy sums them on
+    their own, so a row's value does not depend on the array it sits in.
+    """
+    k = counts.shape[-1]
+    total = counts.sum(axis=-1, keepdims=True)
+    nonzero = counts > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(nonzero, counts * np.log((counts + smoothing)
+                                                  / (total + smoothing * k)), 0.0)
+    if k < 8:
+        return terms.sum(axis=-1)
+    # numpy sums eight or more values pairwise, so zeros between the terms
+    # would regroup the additions: pack each row's nonzero terms first
+    flat, keep = terms.reshape(-1, k), nonzero.reshape(-1, k)
+    packed = np.take_along_axis(flat, np.argsort(~keep, axis=1, kind="stable"), axis=1)
+    width = keep.sum(axis=1)
+    out = np.zeros(len(flat))
+    for m in np.unique(width):
+        rows = width == m
+        out[rows] = packed[rows, :m].sum(axis=1)
+    return out.reshape(terms.shape[:-1])
 
 
-def _stage_count_vectors(table: np.ndarray, symbols) -> dict:
-    """Aggregate the rows of a level table by stage symbol."""
-    out: dict = {}
-    for row, sym in zip(table, symbols):
-        if sym in out:
-            out[sym] = out[sym] + row
-        else:
-            out[sym] = row.copy()
-    return out
+def _stage_counts(table: np.ndarray, stage_ids, n_stages: int) -> np.ndarray:
+    """S x K matrix of stage counts: row s sums the level-table rows of stage s."""
+    counts = np.zeros((n_stages, table.shape[1]))
+    np.add.at(counts, np.asarray(stage_ids), table)
+    return counts
+
+
+def _level_stages(tree: StagedTree, data: Dataset, depth: int):
+    """Stage symbols at a depth in first-occurrence order, with their count matrix."""
+    symbols = tree.symbols_at(depth)
+    stages = list(dict.fromkeys(symbols))
+    return stages, _stage_counts(data.level_table(depth), canonical_symbols(symbols),
+                                 len(stages))
 
 
 def _check_fit_inputs(tree: StagedTree, data: Dataset) -> None:
@@ -91,16 +112,11 @@ def fit(tree: StagedTree, data: Dataset, cfg: FitConfig = FitConfig()) -> Staged
     fitted = []
     for d in range(tree.p):
         k = tree.space.level_counts[d]
-        table = data.level_table(d)
-        entry = {}
-        for sym, counts in _stage_count_vectors(table, tree.symbols_at(d)).items():
-            total = counts.sum()
-            if total + lam * k == 0:
-                dist = np.full(k, 1.0 / k)
-            else:
-                dist = (counts + lam) / (total + lam * k)
-            entry[sym] = tuple(float(x) for x in dist)
-        fitted.append(entry)
+        stages, counts = _level_stages(tree, data, d)
+        total = counts.sum(axis=1, keepdims=True) + lam * k
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dists = np.where(total == 0, 1.0 / k, (counts + lam) / total)
+        fitted.append(dict(zip(stages, map(tuple, dists.tolist()))))
     return replace(tree, fitted=tuple(fitted))
 
 
@@ -138,21 +154,11 @@ def score(tree: StagedTree, data: Dataset, cfg: FitConfig = FitConfig()) -> Scor
     which telescopes to sum_x count(x) * ln(joint_probability(x)).
     """
     _check_fit_inputs(tree, data)
-    lam = cfg.smoothing
     log_lik = 0.0
     for d in range(tree.p):
-        k = tree.space.level_counts[d]
-        table = data.level_table(d)
-        for counts in _stage_count_vectors(table, tree.symbols_at(d)).values():
-            total = counts.sum()
-            if total == 0:
-                continue
-            if lam == 0:
-                log_lik += _stage_loglik(counts)
-            else:
-                probs = (counts + lam) / (total + lam * k)
-                nz = counts > 0
-                log_lik += float((counts[nz] * np.log(probs[nz])).sum())
+        _, counts = _level_stages(tree, data, d)
+        for stage_loglik in _loglik(counts, cfg.smoothing).tolist():
+            log_lik += stage_loglik
     df = degrees_of_freedom(tree)
     n = data.n
     return ScoreReport(

@@ -236,8 +236,7 @@ class TestAcceptance:
             if k % 100 == 0:
                 paths = []
                 for run in range(2):
-                    tree, trace = st.csbhc(saturated, data,
-                                           st.SearchConfig(rng_seed=5))
+                    tree, trace = st.csbhc(saturated, data)
                     aldag, _ = st.staged_tree_to_aldag(tree)
                     doc = st.ModelDocument(st.fit(tree, data), aldag,
                                            st.score(tree, data), trace)

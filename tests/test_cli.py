@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 from importlib import resources
 
 import pytest
@@ -113,9 +114,9 @@ class TestLearn:
     def test_repeat_runs_byte_identical(self, capsys, tmp_path, titanic_csv):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         assert run(capsys, "learn", "--data", titanic_csv, "--count-column",
-                   "count", "--algo", "hc", "--seed", "7", "--out", str(a))[0] == 0
+                   "count", "--algo", "hc", "--out", str(a))[0] == 0
         assert run(capsys, "learn", "--data", titanic_csv, "--count-column",
-                   "count", "--algo", "hc", "--seed", "7", "--out", str(b))[0] == 0
+                   "count", "--algo", "hc", "--out", str(b))[0] == 0
         assert a.read_bytes() == b.read_bytes()
 
     def test_explicit_order(self, capsys, tmp_path, titanic_csv):
@@ -253,3 +254,21 @@ class TestErrorChannels:
                            "--data", str(csv))
         assert code == 4
         assert json.loads(err)["kind"] == "model"
+
+    def test_oversized_space_is_model_error(self, capsys, tmp_path):
+        # 40 binary variables: 2**40 cells would be allocated by the expansion
+        space = tmp_path / "space.json"
+        space.write_text(json.dumps({"format_version": 1, "variables": [
+            {"name": f"v{i}", "levels": ["0", "1"]} for i in range(40)]}))
+        dag = tmp_path / "dag.json"
+        st.save_dag(st.Dag.empty(40), dag)
+        tracemalloc.start()
+        try:
+            code, _, err = run(capsys, "convert", "--dag", str(dag), "--space", str(space),
+                               "--out", str(tmp_path / "m.json"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 4
+        assert json.loads(err)["code"] == "UnsupportedSizeError"
+        assert peak < 8 * 2**20

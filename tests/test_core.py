@@ -96,6 +96,12 @@ class TestSampleSpace:
         with pytest.raises(st.InvalidArgumentError):
             st.SampleSpace((("a", ("0",)),))
 
+    def test_too_many_cells_rejected(self):
+        # 2**40 cells: rejected from the level counts, before any allocation
+        with pytest.raises(st.UnsupportedSizeError, match="cells"):
+            space_of(*([2] * 40))
+        assert space_of(*([2] * 24)).n_cells == st.core.MAX_CELLS
+
     def test_reorder(self):
         space = space_of(2, 3)
         swapped = space.reorder((1, 0))

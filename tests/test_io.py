@@ -224,17 +224,18 @@ class TestModelDocument:
 
     def test_malformed_documents_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text("not json at all {")
-        with pytest.raises(st.InvalidArgumentError):
-            st.ModelDocument.load(path)
-        path.write_text(json.dumps({"format_version": 99}))
-        with pytest.raises(st.InvalidArgumentError):
-            st.ModelDocument.load(path)
-        path.write_text(json.dumps({"format_version": 1, "variables": []}))
-        with pytest.raises(st.InvalidArgumentError):
-            st.ModelDocument.load(path)
-        with pytest.raises(st.InvalidArgumentError):
-            st.ModelDocument.load(tmp_path / "absent.json")
+        for load in (st.ModelDocument.load, st.load_dag, st.load_space):
+            path.write_text("not json at all {")
+            with pytest.raises(st.InvalidArgumentError):
+                load(path)
+            path.write_text(json.dumps({"format_version": 99}))
+            with pytest.raises(st.InvalidArgumentError):
+                load(path)
+            path.write_text(json.dumps({"format_version": 1, "variables": []}))
+            with pytest.raises(st.InvalidArgumentError):
+                load(path)
+            with pytest.raises(st.InvalidArgumentError):
+                load(tmp_path / "absent.json")
 
     def test_float_precision_survives(self, tmp_path, titanic, titanic_bn_tree):
         doc = self.full_document(titanic, titanic_bn_tree)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import stagetrees as st
+from stagetrees.scoring import _loglik
 
 from conftest import random_space, random_staging, random_dataset
 from oracles import bic_by_hand
@@ -168,5 +169,21 @@ class TestScore:
     def test_bad_config_rejected(self):
         with pytest.raises(st.InvalidArgumentError):
             st.FitConfig(smoothing=-0.5)
-        with pytest.raises(st.InvalidArgumentError):
-            st.FitConfig(zero_count_policy="explode")
+
+
+class TestLoglik:
+    def test_rows_equal_per_vector_reference(self):
+        # each row sums only its own nonzero terms, exactly as a lone vector
+        # would, also past numpy's eight-value pairwise-summation threshold
+        rng = np.random.default_rng(6)
+        for k in range(2, 12):
+            counts = rng.integers(0, 40, size=(30, k)).astype(np.float64)
+            counts[rng.random((30, k)) < 0.3] = 0
+            counts[0] = 0
+            for lam in (0.0, 0.5):
+                got = _loglik(counts, lam).tolist()
+                for row, value in zip(counts, got):
+                    nz = row > 0
+                    with np.errstate(invalid="ignore"):
+                        probs = (row + lam) / (row.sum() + lam * k)
+                    assert value == float((row[nz] * np.log(probs[nz])).sum())
