@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import importlib.resources
+import itertools
 import json
 import os
 import tempfile
@@ -83,6 +84,9 @@ def read_csv(path, header: bool = True, order=None, na_policy: str = "drop-row",
              levels=None, count_column: str | None = None) -> Dataset:
     """Read categorical observations (or weighted configurations) into counts.
 
+    One pass tallies distinct configurations, so memory grows with their
+    number, not with the rows; errors name physical lines of the file.
+
     Parameters
     ----------
     path : file path.
@@ -100,52 +104,51 @@ def read_csv(path, header: bool = True, order=None, na_policy: str = "drop-row",
     """
     if na_policy not in ("drop-row", "error"):
         raise InvalidArgumentError(f"unknown na_policy {na_policy!r}")
+    # configuration -> total count; insertion order is first appearance, and
+    # count-0 rows keep their key so they still declare their levels
+    tally: dict[tuple[str, ...], int] = {}
     try:
-        with open(path, newline="") as fh:
-            rows = [row for row in csv.reader(fh) if row]
-    except OSError as err:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            first = next((row for row in reader if row), None)
+            if first is None:
+                raise DataError("empty", f"{path} contains no rows")
+            names = [c.strip() for c in first] if header else [f"v{i}" for i in range(len(first))]
+            if len(set(names)) != len(names):
+                raise DataError("unknown-variable", f"duplicate column names in {path}")
+            column = {name: i for i, name in enumerate(names)}
+            if count_column is not None and count_column not in column:
+                raise DataError("unknown-variable", f"count column {count_column!r} not in {names}")
+            if order is None:
+                selected = [n for n in names if n != count_column]
+            else:
+                selected = list(order)
+                for name in selected:
+                    if name not in column:
+                        raise DataError("unknown-variable", f"column {name!r} not in {names}")
+                if count_column is not None and count_column in selected:
+                    raise DataError("unknown-variable",
+                                    f"count column {count_column!r} cannot also be a variable")
+            if not selected:
+                raise DataError("empty", "no variable columns selected")
+            picks = [column[name] for name in selected]
+            for row in reader if header else itertools.chain([first], reader):
+                if not row:
+                    continue
+                if len(row) != len(names):
+                    raise DataError("ragged", f"line {reader.line_num}: expected {len(names)} "
+                                    f"fields, got {len(row)}")
+                values = tuple(row[i].strip() for i in picks)
+                count = 1 if count_column is None else _parse_count(
+                    row[column[count_column]].strip(), reader.line_num)
+                if not NA_TOKENS.isdisjoint(values):
+                    if na_policy == "error":
+                        raise DataError("missing", f"line {reader.line_num}: missing value")
+                    continue
+                tally[values] = tally.get(values, 0) + count
+    except (OSError, UnicodeDecodeError, csv.Error) as err:
         raise DataError("unreadable", f"cannot read {path}: {err}") from None
-    if not rows:
-        raise DataError("empty", f"{path} contains no rows")
-    if header:
-        names = [c.strip() for c in rows[0]]
-        body = rows[1:]
-    else:
-        names = [f"v{i}" for i in range(len(rows[0]))]
-        body = rows
-    if len(set(names)) != len(names):
-        raise DataError("unknown-variable", f"duplicate column names in {path}")
-    column = {name: i for i, name in enumerate(names)}
-
-    if count_column is not None and count_column not in column:
-        raise DataError("unknown-variable", f"count column {count_column!r} not in {names}")
-    if order is None:
-        selected = [n for n in names if n != count_column]
-    else:
-        selected = list(order)
-        for name in selected:
-            if name not in column:
-                raise DataError("unknown-variable", f"column {name!r} not in {names}")
-        if count_column is not None and count_column in selected:
-            raise DataError("unknown-variable",
-                            f"count column {count_column!r} cannot also be a variable")
-    if not selected:
-        raise DataError("empty", "no variable columns selected")
-
-    kept: list[tuple[tuple[str, ...], int]] = []
-    for lineno, row in enumerate(body, start=2 if header else 1):
-        if len(row) != len(names):
-            raise DataError("ragged", f"line {lineno}: expected {len(names)} fields, got {len(row)}")
-        values = tuple(row[column[name]].strip() for name in selected)
-        count = 1
-        if count_column is not None:
-            count = _parse_count(row[column[count_column]].strip(), lineno)
-        if any(v in NA_TOKENS for v in values):
-            if na_policy == "error":
-                raise DataError("missing", f"line {lineno}: missing value")
-            continue
-        kept.append((values, count))
-    if not kept or sum(c for _, c in kept) == 0:
+    if not sum(tally.values()):
         raise DataError("empty", f"{path}: no complete observations")
 
     levels = dict(levels or {})
@@ -154,27 +157,23 @@ def read_csv(path, header: bool = True, order=None, na_policy: str = "drop-row",
             raise DataError("unknown-variable", f"levels given for unknown column {name!r}")
     variable_levels: list[tuple[str, ...]] = []
     for pos, name in enumerate(selected):
+        observed = tuple(dict.fromkeys(values[pos] for values in tally))
         if name in levels:
             pinned = tuple(str(v) for v in levels[name])
-            observed = {v[pos] for v, _ in kept}
-            extra = sorted(observed - set(pinned))
+            extra = sorted(set(observed) - set(pinned))
             if extra:
                 raise DataError("unknown-level",
                                 f"column {name!r}: values {extra} not among declared levels {list(pinned)}")
-            variable_levels.append(pinned)
-        else:
-            seen: dict[str, None] = {}
-            for values, _ in kept:
-                seen.setdefault(values[pos], None)
-            variable_levels.append(tuple(seen))
-        if len(variable_levels[-1]) < 2:
+            observed = pinned
+        if len(observed) < 2:
             raise DataError("degenerate", f"column {name!r} has fewer than two levels")
+        variable_levels.append(observed)
 
     space = SampleSpace(tuple(zip(selected, variable_levels)))
     index = [{lvl: i for i, lvl in enumerate(lv)} for lv in variable_levels]
     return Dataset.from_config_counts(
         space, ((tuple(index[i][v] for i, v in enumerate(values)), count)
-                for values, count in kept))
+                for values, count in tally.items()))
 
 
 # ---------------------------------------------------------------------------

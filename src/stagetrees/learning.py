@@ -2,9 +2,13 @@
 
 `bhc`, `hc` and `csbhc` share one steepest-descent engine and differ only
 in the moves they score, level by level, as one array of score deltas.  The
-pick rule, shared with `learn_dag`: the smallest delta below -1e-9 wins and
-exact ties go to the smallest affected ids.  Each level runs to its local
-fixpoint; scores decompose over levels, so that is a fixpoint of the model.
+pick rule, shared with `learn_dag`: among the candidates whose delta lies
+within TIE_TOLERANCE = 1e-9 of the smallest, the one with the smallest
+affected ids wins, and it is applied if its delta is below -1e-9.  Deltas
+that are equal in exact arithmetic (say, joins of stages with proportional
+counts) differ by float noise far below the tolerance, so they tie.  Each
+level runs to its local fixpoint; scores decompose over levels, so that is
+a fixpoint of the model.
 """
 from __future__ import annotations
 
@@ -43,6 +47,7 @@ __all__ = [
 ]
 
 IMPROVEMENT_EPS = 1e-9
+TIE_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -123,14 +128,15 @@ _BLOCK_ELEMENTS = 1 << 18
 
 
 def _pick(deltas: np.ndarray) -> int | None:
-    """Flat index of the smallest delta below -IMPROVEMENT_EPS, or None.
+    """Flat index of the move the tie rule picks, or None if it does not improve.
 
-    Candidate arrays are laid out in the order of the tie rule, so argmin's
-    first occurrence breaks exact ties toward the smallest ids.
+    Candidate arrays are laid out in the order of the tie rule, so the first
+    delta within TIE_TOLERANCE of the smallest belongs to the tied candidate
+    with the smallest ids; it is taken if it is below -IMPROVEMENT_EPS.
     """
     if not deltas.size:
         return None
-    best = int(np.argmin(deltas))
+    best = int(np.argmax(deltas <= deltas.min() + TIE_TOLERANCE))
     return best if deltas.flat[best] < -IMPROVEMENT_EPS else None
 
 

@@ -103,6 +103,57 @@ def bic_by_hand(tree, data) -> float:
     return -2.0 * log_lik + df * math.log(n)
 
 
+def bhc_by_pairs(data, tolerance: float = 1e-9, improvement: float = 1e-9):
+    """Backward hill-climb from the saturated tree, one pair at a time.
+
+    At each level, every pair of stages (s1 < s2) is scored from plain count
+    lists; the first pair in (s1, s2) order whose BIC delta lies within
+    `tolerance` of the smallest is joined (s2's vertices take s1's id) while
+    that delta is below -`improvement`.  Returns the moves, each as
+    (level, (s1, s2)), and each level's stage ids in first-occurrence order.
+    """
+    space = data.space
+    sizes = space.level_counts
+    n = sum(int(c) for c in data.counts)
+    configs = list(space.configurations())
+
+    def loglik(counts) -> float:
+        total = sum(counts)
+        return sum(c * math.log(c / total) for c in counts if c > 0)
+
+    moves, vectors = [], []
+    for depth in range(1, space.p):
+        vertices = math.prod(sizes[:depth])
+        table = [[0] * sizes[depth] for _ in range(vertices)]
+        for idx, config in enumerate(configs):
+            pos = 0
+            for q in range(depth):
+                pos = pos * sizes[q] + config[q]
+            table[pos][config[depth]] += int(data.counts[idx])
+        stage = list(range(vertices))
+        penalty = (sizes[depth] - 1) * math.log(n)
+        while True:
+            counts = {}
+            for v, s in enumerate(stage):
+                counts[s] = [a + b for a, b in zip(counts.get(s, [0] * sizes[depth]), table[v])]
+            pairs = []
+            for s1, s2 in itertools.combinations(sorted(counts), 2):
+                joined = [a + b for a, b in zip(counts[s1], counts[s2])]
+                gain = loglik(joined) - loglik(counts[s1]) - loglik(counts[s2])
+                pairs.append((-2.0 * gain - penalty, s1, s2))
+            if not pairs:
+                break
+            low = min(delta for delta, _, _ in pairs)
+            delta, s1, s2 = next(pair for pair in pairs if pair[0] <= low + tolerance)
+            if not delta < -improvement:
+                break
+            moves.append((depth, (s1, s2)))
+            stage = [s1 if s == s2 else s for s in stage]
+        first: dict[int, int] = {}
+        vectors.append(tuple(first.setdefault(s, len(first)) for s in stage))
+    return moves, vectors
+
+
 def d_separated_by_paths(dag, a, b, c) -> bool:
     """d-separation by enumerating every simple path and testing blocking."""
     a, b, c = set(a), set(b), set(c)

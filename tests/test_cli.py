@@ -229,6 +229,18 @@ class TestErrorChannels:
         assert code == 3
         assert json.loads(err)["code"] == "ragged"
 
+    @pytest.mark.parametrize("body", [
+        b"a,b\n0," + b"1" * 200_000 + b"\n1,0\n",   # longer than csv's field limit
+        b"a,b\n0,\xff\xfe\n1,0\n",                  # not UTF-8
+    ], ids=["field-too-long", "not-utf8"])
+    def test_unreadable_data(self, capsys, tmp_path, body):
+        csv = tmp_path / "bad.csv"
+        csv.write_bytes(body)
+        code, _, err = run(capsys, "learn", "--data", str(csv),
+                           "--out", str(tmp_path / "m.json"))
+        assert code == 3
+        assert json.loads(err)["code"] == "unreadable"
+
     def test_corrupt_model(self, capsys, tmp_path, titanic_csv):
         model = tmp_path / "model.json"
         model.write_text("{}")

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,6 +108,41 @@ class TestReadCsv:
         with pytest.raises(st.DataError) as err:
             st.read_csv(f)
         assert err.value.code == "ragged"
+
+    @pytest.mark.parametrize("text,kwargs,code,line", [
+        ("a,b\nx,y\n\ny,x\nx\n", {}, "ragged", 5),
+        ("a,n\nx,1\n\ny,two\n", {"count_column": "n"}, "bad-count", 4),
+        ("x,y\n\n\nNA,x\n", {"header": False, "na_policy": "error"}, "missing", 4),
+    ], ids=["ragged", "bad-count", "missing"])
+    def test_errors_name_physical_lines(self, tmp_path, text, kwargs, code, line):
+        f = tmp_path / "d.csv"
+        f.write_text(text)
+        with pytest.raises(st.DataError) as err:
+            st.read_csv(f, **kwargs)
+        assert err.value.code == code
+        assert str(err.value).startswith(f"line {line}:")
+
+    def test_memory_grows_with_configurations_not_rows(self, tmp_path):
+        f = tmp_path / "d.csv"
+        configs = [f"{a},{b},{c}\n" for a in "01" for b in "xy" for c in "pq"]
+        f.write_text("a,b,c\n" + "".join(configs) * 25_000)
+        tracemalloc.start()
+        try:
+            data = st.read_csv(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert data.n == 200_000
+        assert data.counts.tolist() == [25_000] * 8
+        assert peak < 2 * 2**20
+
+    def test_zero_count_row_declares_levels(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_text("a,b,n\nz,1,0\ny,0,2\nz,0,1\n")
+        data = st.read_csv(f, count_column="n")
+        assert data.space.levels_of(0) == ("z", "y")
+        assert data.space.levels_of(1) == ("1", "0")
+        assert data.counts.tolist() == [0, 1, 0, 2]
 
     def test_count_column(self, tmp_path):
         f = tmp_path / "d.csv"

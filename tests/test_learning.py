@@ -5,10 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hs
 
 import stagetrees as st
 
 from conftest import random_space, random_dataset
+from oracles import bhc_by_pairs
 
 L = st.DependenceLabel
 
@@ -55,6 +57,36 @@ class TestBhc:
         assert merged == pytest.approx(split - math.log(40), abs=1e-9)
         tree, _ = st.bhc(st.StagedTree.saturated(space), data)
         assert tree.symbols_at(1) == (0, 0)
+
+    def test_proportional_rows_tie_to_smallest_ids(self):
+        # every join has delta -ln(n) in exact arithmetic; float noise of
+        # the order of 1e-14 once made (0, 2) win over (0, 1)
+        space = space_of(5, 2)
+        counts = np.outer([47, 2, 8, 41, 47], [3, 4]).ravel()
+        _, trace = st.bhc(st.StagedTree.saturated(space), st.Dataset(space, counts))
+        assert [s.stages for s in trace.steps] == [(0, 1), (0, 2), (0, 3), (0, 4)]
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(hs.data())
+    def test_matches_pair_scanning_reference(self, draw):
+        sizes = draw.draw(hs.lists(hs.integers(2, 5), min_size=2, max_size=3))
+        k = sizes[-1]
+        base = draw.draw(hs.lists(hs.integers(0, 9), min_size=k, max_size=k))
+        rows = []
+        for _ in range(math.prod(sizes[:-1])):
+            # proportional rows (multiples of one base vector, zero included)
+            # tie exactly; free rows do not
+            if draw.draw(hs.booleans()):
+                rows.append([draw.draw(hs.integers(0, 400)) * b for b in base])
+            else:
+                rows.append(draw.draw(hs.lists(hs.integers(0, 30), min_size=k, max_size=k)))
+        counts = np.array(rows, dtype=np.int64).ravel()
+        counts[0] += counts.sum() == 0
+        data = st.Dataset(space_of(*sizes), counts)
+        tree, trace = st.bhc(st.StagedTree.saturated(data.space), data)
+        moves, vectors = bhc_by_pairs(data)
+        assert [(s.level, s.stages) for s in trace.steps] == moves
+        assert [tree.symbols_at(d) for d in range(1, tree.p)] == vectors
 
     def test_max_iter_caps_moves_per_level(self, titanic, titanic_bn_tree):
         _, trace = st.bhc(titanic_bn_tree, titanic, st.SearchConfig(max_iter=1))
