@@ -11,7 +11,7 @@ import json
 import sys
 
 from .conversion import d_separated, dag_to_staged_tree, dependence_subtree, staged_tree_to_aldag
-from .core import Dag, Dataset, InvalidArgumentError, LABEL_ORDER
+from .core import Dataset, InvalidArgumentError, LABEL_ORDER
 from .io import DataError, ModelDocument, load_dag, load_space, read_csv, write_dot
 from .learning import SearchConfig, default_start, enumerate_orders, learn_dag, refine_dag, _SEARCHES
 from .scoring import fit, score
@@ -23,9 +23,9 @@ def _emit(obj) -> None:
     print(json.dumps(obj))
 
 
-def _read_data(args) -> Dataset:
+def _read_data(args, **kwargs) -> Dataset:
     return read_csv(args.data, header=not args.no_header,
-                    count_column=args.count_column)
+                    count_column=args.count_column, **kwargs)
 
 
 def _data_flags(sub) -> None:
@@ -141,7 +141,14 @@ def _cmd_subtree(args) -> int:
 
 def _cmd_score(args) -> int:
     doc = ModelDocument.load(args.model)
-    data = _read_data(args)
+    space = doc.tree.space
+    try:
+        data = _read_data(args, order=space.names, levels=dict(space.variables))
+    except DataError as err:
+        # a file with none of the model's variables holds another sample space
+        if err.code != "unknown-variable" or set(space.names) & set(_read_data(args).space.names):
+            raise
+        raise InvalidArgumentError("tree and dataset use different sample spaces") from None
     report = score(doc.tree, data)
     _emit(_score_json(report))
     return 0

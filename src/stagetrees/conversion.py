@@ -14,6 +14,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Hashable, Mapping, Sequence
 
+import numpy as np
+
 from .core import (
     Aldag,
     Dag,
@@ -81,24 +83,30 @@ def dag_to_staged_tree(dag: Dag, space: SampleSpace) -> StagedTree:
     """Staged tree with the same model as the DAG.
 
     Depth-i vertices get equal stages exactly when their configurations
-    agree on the parents of variable i: starting from a single symbol, each
-    preceding variable either splits every symbol (parent) or copies it
-    (non-parent), preserving lexicographic order.
+    agree on the parents of variable i (see `_parent_stage_ids`).
     """
     if dag.p != space.p:
         raise InvalidArgumentError("DAG and sample space disagree on p")
     sizes = space.level_counts
-    vectors = []
-    for d in range(1, space.p):
-        parents = set(dag.parents(d))
-        syms = [0]
-        for j in range(d):
-            if j in parents:
-                syms = [s * sizes[j] + x for s in syms for x in range(sizes[j])]
-            else:
-                syms = [s for s in syms for _ in range(sizes[j])]
-        vectors.append(StageVector(d, tuple(syms)))
-    return StagedTree(space, tuple(vectors))
+    return StagedTree(space, tuple(
+        StageVector(d, tuple(_parent_stage_ids(sizes[:d], dag.parents(d)).tolist()))
+        for d in range(1, space.p)))
+
+
+def _parent_stage_ids(sizes: Sequence[int], parents) -> np.ndarray:
+    """Stage id of every depth-len(sizes) vertex: the lex index of its parent coordinates.
+
+    Starting from a single id, each preceding variable either splits every
+    id (parent) or copies it (non-parent), preserving lexicographic order,
+    so the ids are also in first-occurrence order.
+    """
+    ids = np.zeros(1, dtype=np.int64)
+    for j, k in enumerate(sizes):
+        if j in parents:
+            ids = np.add.outer(ids * k, np.arange(k)).ravel()
+        else:
+            ids = np.repeat(ids, k)
+    return ids
 
 
 def _column_context(axes: Sequence[int], sizes: Sequence[int], k: int) -> Context:
@@ -334,7 +342,6 @@ def dependence_subtree(tree: StagedTree, aldag: Aldag, target: int) -> StagedTre
 
     if tree.fitted is not None and tree.fitted[target] is not None:
         source = tree.fitted[target]
-        used = set(sub.symbols_at(q)) if q else {next(iter(stage_of))}
         if q:
             entry = {sym: source[sym] for sym in sub.symbols_at(q)}
         else:

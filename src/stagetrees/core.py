@@ -13,7 +13,8 @@ structurally equal after :func:`canonical_symbols` relabeling.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Hashable, Iterable, Mapping, Sequence
 
@@ -110,17 +111,11 @@ class SampleSpace:
 
     @property
     def n_cells(self) -> int:
-        out = 1
-        for k in self.level_counts:
-            out *= k
-        return out
+        return self.prefix_cells(self.p)
 
     def prefix_cells(self, length: int) -> int:
         """Number of value combinations of the first `length` variables."""
-        out = 1
-        for k in self.level_counts[:length]:
-            out *= k
-        return out
+        return math.prod(self.level_counts[:length])
 
     def index_of(self, name: str) -> int:
         try:

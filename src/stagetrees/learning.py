@@ -1,24 +1,25 @@
 """Greedy score-guided search over stagings and DAGs.
 
-`bhc`, `hc` and `csbhc` share one steepest-descent engine and differ only
-in the moves they score, level by level, as one array of score deltas.  The
-pick rule, shared with `learn_dag`: among the candidates whose delta lies
-within TIE_TOLERANCE = 1e-9 of the smallest, the one with the smallest
-affected ids wins, and it is applied if its delta is below -1e-9.  Deltas
-that are equal in exact arithmetic (say, joins of stages with proportional
-counts) differ by float noise far below the tolerance, so they tie.  Each
-level runs to its local fixpoint; scores decompose over levels, so that is
-a fixpoint of the model.
+`bhc`, `hc`, `csbhc` and `learn_dag` share one steepest-descent engine and
+differ only in the moves they score, level by level, as one array of score
+deltas (`learn_dag` toggles one parent of the level's variable).  The pick
+rule: among the candidates whose delta lies within TIE_TOLERANCE = 1e-9 of
+the smallest, the one with the smallest affected ids wins, and it is applied
+if its delta is below -1e-9.  Deltas that are equal in exact arithmetic
+(say, joins of stages with proportional counts) differ by float noise far
+below the tolerance, so they tie.  Each level runs to its local fixpoint;
+scores decompose over levels, so that is a fixpoint of the model.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .conversion import dag_to_staged_tree, staged_tree_to_aldag
+from .conversion import _parent_stage_ids, dag_to_staged_tree, staged_tree_to_aldag
 from .core import (
     Dag,
     Dataset,
@@ -76,7 +77,7 @@ class SearchConfig:
 @dataclass(frozen=True)
 class TraceStep:
     level: int
-    kind: str  # "join", "split" or "column-join"
+    kind: str  # "join", "split", "column-join", "add-parent" or "drop-parent"
     stages: tuple
     score_before: float
     score_after: float
@@ -94,18 +95,6 @@ class SearchTrace:
     @property
     def final_score(self) -> float | None:
         return self.steps[-1].score_after if self.steps else None
-
-
-def _check_search_inputs(start: StagedTree, data: Dataset) -> None:
-    if start.space != data.space:
-        raise InvalidArgumentError("start tree and dataset use different sample spaces")
-    if data.n < 1:
-        raise InvalidArgumentError("cannot search on an empty dataset")
-
-
-def _penalty_unit(cfg: SearchConfig, n: int) -> float:
-    # score = -2 logL + df * unit
-    return math.log(n) if cfg.score == "bic" else 2.0
 
 
 def _initial_score(tree: StagedTree, data: Dataset, cfg: SearchConfig) -> float:
@@ -228,6 +217,31 @@ def _column_joins(table, sizes, penalty, assign, ids, counts, loglik):
     return deltas, move
 
 
+def _dag_parents(assign, sizes):
+    """Parents of a DAG-staged level: each j whose vertex x_j = 1 (others 0) leaves stage 0."""
+    return {j for j in range(len(sizes)) if assign[math.prod(sizes[j + 1:])] != 0}
+
+
+def _parent_toggles(table, sizes, penalty, assign, ids, counts, loglik, sink=None):
+    """learn_dag candidates: the level's DAG staging with parent j toggled, j in id order.
+
+    The sink is never a parent; a move relabels the whole level.
+    """
+    parents = _dag_parents(assign, sizes)
+    deltas = np.full(len(sizes), np.inf)
+    for j in range(len(sizes)):
+        if j != sink:
+            toggled = _parent_stage_ids(sizes, parents ^ {j})
+            stages = int(toggled[-1]) + 1
+            gain = _loglik(_stage_counts(table, toggled, stages)).sum() - loglik.sum()
+            deltas[j] = -2.0 * gain + (stages - len(ids)) * penalty
+
+    def move(best):
+        kind = "drop-parent" if best in parents else "add-parent"
+        return kind, (best,), slice(None), _parent_stage_ids(sizes, parents ^ {best})
+    return deltas, move
+
+
 def _run_search(candidates, start: StagedTree, data: Dataset, cfg: SearchConfig):
     """Greedy per-level search; `candidates` scores one level's moves as an array.
 
@@ -235,10 +249,13 @@ def _run_search(candidates, start: StagedTree, data: Dataset, cfg: SearchConfig)
     variables, the score cost of one more stage, the stage id of every vertex,
     the sorted stage ids with their S x K count matrix and log-likelihoods; it
     returns the deltas, laid out in tie order, and a function that turns the
-    picked index into (kind, stages, vertices to relabel, their new id).
+    picked index into (kind, stages, vertices to relabel, their new id or ids).
     """
-    _check_search_inputs(start, data)
-    unit = _penalty_unit(cfg, data.n)
+    if start.space != data.space:
+        raise InvalidArgumentError("start tree and dataset use different sample spaces")
+    if data.n < 1:
+        raise InvalidArgumentError("cannot search on an empty dataset")
+    unit = math.log(data.n) if cfg.score == "bic" else 2.0  # score = -2 logL + df * unit
     current = _initial_score(start, data, cfg)
     steps: list[TraceStep] = []
     sizes = start.space.level_counts
@@ -325,52 +342,25 @@ def refine_dag(dag: Dag, data: Dataset, algo: str = "bhc",
     return tree, aldag
 
 
-def _family_score(data: Dataset, child: int, parents: tuple[int, ...], unit: float) -> float:
-    # parents all precede child, so after marginalizing the child axis is last
-    sizes = data.space.level_counts
-    keep = sorted(parents) + [child]
-    drop = tuple(ax for ax in range(data.space.p) if ax not in keep)
-    t = data.tensor().astype(np.float64)
-    if drop:
-        t = t.sum(axis=drop)
-    t = t.reshape(-1, sizes[child])
-    log_lik = sum(_loglik(t).tolist())
-    df = math.prod(sizes[j] for j in parents) * (sizes[child] - 1)
-    return -2.0 * log_lik + df * unit
-
-
 def learn_dag(data: Dataset, cfg: SearchConfig = SearchConfig(),
               sink: int | None = None) -> Dag:
     """Greedy score search over DAGs that respect the variable order.
 
-    Moves toggle one edge (j, i) with j < i; steepest descent until no
-    toggle improves the score.  Edge direction is fixed by the variable
-    order, so adds and deletes exhaust the neighborhood.  A `sink` variable,
-    if given, is blocked from having outgoing edges.
+    A DAG's level-i staging partitions the vertices by the configuration of
+    X_i's parents, so this runs the shared engine from the empty DAG with
+    moves that add or drop one parent j < i; ties go to the smallest j among
+    deltas within TIE_TOLERANCE.  `cfg.max_iter` caps the toggles per child
+    and `cfg.scope` selects the children.  A `sink` variable, if given, is
+    blocked from having outgoing edges.
     """
-    if data.n < 1:
-        raise InvalidArgumentError("cannot search on an empty dataset")
     p = data.space.p
     if sink is not None and not 0 <= sink < p:
         raise InvalidArgumentError(f"sink {sink} out of range")
-    unit = _penalty_unit(cfg, data.n)
-    parents: dict[int, set[int]] = {i: set() for i in range(p)}
-    family = {i: _family_score(data, i, (), unit) for i in range(p)}
-    while True:
-        # deltas[i, j] toggles edge (j, i); row-major order is the tie order
-        deltas = np.full((p, p), np.inf)
-        for i in range(p):
-            for j in range(i):
-                if j != sink:
-                    candidate = tuple(sorted(parents[i] ^ {j}))
-                    deltas[i, j] = _family_score(data, i, candidate, unit) - family[i]
-        best = _pick(deltas)
-        if best is None:
-            break
-        i, j = divmod(best, p)
-        parents[i] ^= {j}
-        family[i] = _family_score(data, i, tuple(sorted(parents[i])), unit)
-    return Dag(p, frozenset((j, i) for i in range(p) for j in parents[i]))
+    tree, _ = _run_search(partial(_parent_toggles, sink=sink),
+                          StagedTree.one_stage(data.space), data, cfg)
+    sizes = data.space.level_counts
+    return Dag(p, frozenset((j, i) for i in range(1, p)
+                            for j in _dag_parents(tree.symbols_at(i), sizes[:i])))
 
 
 def enumerate_orders(data: Dataset, fixed_last: int | str | None = None,

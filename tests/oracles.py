@@ -154,6 +154,48 @@ def bhc_by_pairs(data, tolerance: float = 1e-9, improvement: float = 1e-9):
     return moves, vectors
 
 
+def learn_dag_by_global_toggles(data, score: str = "bic", sink=None,
+                                tolerance: float = 1e-9, improvement: float = 1e-9):
+    """Order-respecting DAG search by global steepest descent over edge toggles.
+
+    Every family is scored on its own, from the count tensor marginalized
+    onto the child and its parents.  At each step all toggles of an edge
+    (j, i), j < i and j not the sink, are scored; the first in (i, j) order
+    whose delta lies within `tolerance` of the smallest is applied while
+    that delta is below -`improvement`.  Returns the set of edges.
+    """
+    sizes = data.space.level_counts
+    p = len(sizes)
+    n = sum(int(c) for c in data.counts)
+    unit = math.log(n) if score == "bic" else 2.0
+    tensor = data.tensor()
+
+    def family(child: int, parents) -> float:
+        drop = tuple(ax for ax in range(p) if ax != child and ax not in parents)
+        table = (tensor.sum(axis=drop) if drop else tensor).reshape(-1, sizes[child])
+        log_lik = 0.0
+        for row in table.tolist():
+            total = sum(row)
+            log_lik += sum(c * math.log(c / total) for c in row if c > 0)
+        df = math.prod(sizes[j] for j in parents) * (sizes[child] - 1)
+        return -2.0 * log_lik + df * unit
+
+    parents = {i: set() for i in range(p)}
+    current = {i: family(i, ()) for i in range(p)}
+    while True:
+        toggles = [(family(i, parents[i] ^ {j}) - current[i], i, j)
+                   for i in range(p) for j in range(i) if j != sink]
+        if not toggles:
+            break
+        low = min(delta for delta, _, _ in toggles)
+        delta, i, j = next(t for t in toggles if t[0] <= low + tolerance)
+        if not delta < -improvement:
+            break
+        parents[i] ^= {j}
+        current[i] = family(i, parents[i])
+    return {(j, i) for i in range(p) for j in parents[i]}
+
+
 def d_separated_by_paths(dag, a, b, c) -> bool:
     """d-separation by enumerating every simple path and testing blocking."""
     a, b, c = set(a), set(b), set(c)

@@ -61,6 +61,48 @@ class TestScore:
         assert report["n"] == 2201
         assert report["df"] == 23
 
+    def test_enumerate_orders_model_scores_its_own_data(self, capsys, tmp_path, titanic_csv):
+        model = tmp_path / "m.json"
+        code, out, _ = run(capsys, "learn", "--data", titanic_csv, "--count-column", "count",
+                           "--enumerate-orders", "--out", str(model))
+        assert code == 0
+        learned = json.loads(out)
+        assert learned["order"] != ["Class", "Gender", "Survived", "Age"]
+        code, out, _ = run(capsys, "score", "--model", str(model),
+                           "--data", titanic_csv, "--count-column", "count")
+        assert code == 0
+        assert json.loads(out) == learned["score"]
+
+    def test_holdout_levels_in_other_order(self, capsys, tmp_path, titanic_csv):
+        model = tmp_path / "m.json"
+        code, out, _ = run(capsys, "learn", "--data", titanic_csv, "--count-column", "count",
+                           "--out", str(model))
+        assert code == 0
+        header, *rows = open(titanic_csv).read().splitlines()
+        holdout = tmp_path / "holdout.csv"
+        holdout.write_text("\n".join([header] + rows[::-1]) + "\n")
+        assert st.read_csv(holdout, count_column="count").space != st.read_csv(
+            titanic_csv, count_column="count").space
+        code, scored, _ = run(capsys, "score", "--model", str(model),
+                              "--data", str(holdout), "--count-column", "count")
+        assert code == 0
+        assert json.loads(scored) == json.loads(out)["score"]
+
+    @pytest.mark.parametrize("body,error", [
+        ("Class,Gender,Survived,Age\n1st,Male,No,Child\nCrew,Other,Yes,Adult\n",
+         "unknown-level"),
+        ("Class,Gender,Survived\n1st,Male,No\nCrew,Female,Yes\n", "unknown-variable"),
+    ], ids=["extra-level", "missing-column"])
+    def test_data_outside_the_model_space(self, capsys, tmp_path, fig1_files, body, error):
+        model = tmp_path / "model.json"
+        run(capsys, "convert", "--dag", fig1_files[0], "--space", fig1_files[1],
+            "--out", str(model))
+        csv = tmp_path / "holdout.csv"
+        csv.write_text(body)
+        code, _, err = run(capsys, "score", "--model", str(model), "--data", str(csv))
+        assert code == 3
+        assert json.loads(err)["code"] == error
+
     def test_convert_name_mismatch(self, capsys, tmp_path, titanic, titanic_dag):
         dag_path = tmp_path / "dag.json"
         space_path = tmp_path / "space.json"

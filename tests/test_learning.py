@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as hs
 import stagetrees as st
 
 from conftest import random_space, random_dataset
-from oracles import bhc_by_pairs
+from oracles import bhc_by_pairs, learn_dag_by_global_toggles
 
 L = st.DependenceLabel
 
@@ -240,6 +240,42 @@ class TestLearnDag:
         space = space_of(2, 2)
         with pytest.raises(st.InvalidArgumentError):
             st.learn_dag(st.Dataset(space, np.zeros(4, dtype=np.int64)))
+
+    def test_tied_parents_go_to_smallest_index(self):
+        # x1 = x0 + 1 (mod 3), so either explains x2 equally well; the float
+        # log-likelihood of the family with x1 comes out one ulp higher
+        counts = np.zeros((3, 3, 2), dtype=np.int64)
+        for a, row in enumerate([[1, 8], [1, 40], [32, 39]]):
+            counts[a, (a + 1) % 3] = row
+        data = st.Dataset(space_of(3, 3, 2), counts.ravel())
+        assert st.learn_dag(data).edges == {(0, 1), (0, 2)}
+
+    def test_scope_searches_only_listed_children(self, titanic):
+        learned = st.learn_dag(titanic, st.SearchConfig(scope=(2,)))
+        assert learned.edges
+        assert all(i == 2 for _, i in learned.edges)
+        assert learned.edges == {e for e in st.learn_dag(titanic).edges if e[1] == 2}
+
+    def test_max_iter_caps_parents_per_child(self, titanic):
+        assert any(len(st.learn_dag(titanic).parents(i)) > 1 for i in range(4))
+        learned = st.learn_dag(titanic, st.SearchConfig(max_iter=1))
+        assert learned.edges
+        assert all(len(learned.parents(i)) <= 1 for i in range(4))
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(hs.data())
+    def test_matches_global_toggle_reference(self, draw):
+        sizes = draw.draw(hs.lists(hs.integers(2, 4), min_size=2, max_size=4))
+        cells = math.prod(sizes)
+        scale = draw.draw(hs.integers(1, 60))
+        counts = np.array(draw.draw(hs.lists(hs.integers(0, 9), min_size=cells,
+                                             max_size=cells)), dtype=np.int64) * scale
+        counts[0] += counts.sum() == 0
+        sink = draw.draw(hs.none() | hs.integers(0, len(sizes) - 1))
+        score = draw.draw(hs.sampled_from(["bic", "aic"]))
+        data = st.Dataset(space_of(*sizes), counts)
+        learned = st.learn_dag(data, st.SearchConfig(score=score), sink)
+        assert learned.edges == learn_dag_by_global_toggles(data, score, sink)
 
 
 class TestEnumerateOrders:
