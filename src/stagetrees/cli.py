@@ -83,14 +83,13 @@ def _cmd_learn(args) -> int:
 
 
 def _cmd_refine(args) -> int:
-    data = _read_data(args)
     cfg = SearchConfig()
     if args.dag is None:
+        data = _read_data(args)
         dag = learn_dag(data, cfg)
     else:
         dag, names = load_dag(args.dag)
-        if names is not None:
-            data = data.reorder(names)
+        data = _read_data(args, order=names)
     tree, aldag = refine_dag(dag, data, args.algo, cfg)
     report = score(tree, data)
     doc = ModelDocument(fit(tree, data), aldag, report, None)

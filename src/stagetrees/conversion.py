@@ -117,34 +117,46 @@ def _column_context(axes: Sequence[int], sizes: Sequence[int], k: int) -> Contex
     return tuple(sorted(zip(axes, values)))
 
 
+def _context_columns(sizes: Sequence[int], symbols: Sequence[Hashable]):
+    """Walk a depth-len(sizes) stage vector tail by tail, j = len(sizes)-1 .. 0.
+
+    Yields (j, context axes, rows): the vector is kept arranged so that
+    variable j is its fastest coordinate, so reshape_mat with m = |X_j| rows
+    puts one conditioning context (an assignment of the context axes, last
+    fastest) in each column.  Between tails the vector becomes vec of the
+    transpose, or only the first row when every column is constant (the
+    stages ignore x_j and the coordinate is dropped).
+    """
+    a = tuple(symbols)
+    axes = list(range(len(sizes)))
+    for j in reversed(axes):
+        rows = reshape_mat(a, sizes[j])
+        context = axes[:-1]
+        yield j, context, rows
+        if all(row == rows[0] for row in rows):
+            a, axes = rows[0], context
+        else:
+            a, axes = vec_transpose(rows), [j] + context
+
+
 def _classify_level(space: SampleSpace, depth: int, symbols: Sequence[Hashable]):
     """One pass of the matrix classification over the depth-`depth` stage vector.
 
-    Returns ({tail j: label}, {tail j: EdgeEvidence}).  Examines the tails in
-    order j = depth-1 .. 0, keeping the vector arranged so that the tail
-    under examination is the fastest coordinate: reshaping with m = |X_j|
-    rows then puts one conditioning context in each column.  Between tails
-    the vector is replaced by vec of the transpose (edge kept) or by the
-    first row (no edge; that coordinate is dropped).
+    Returns ({tail j: label}, {tail j: EdgeEvidence}) from the reshapes of
+    `_context_columns`; a tail whose context columns are all constant is no
+    parent and gets no edge.
     """
     sizes = space.level_counts
-    a = canonical_symbols(symbols)
-    axes = list(range(depth))
+    total = len(set(symbols))
     labels: dict[int, DependenceLabel] = {}
     evidence: dict[int, EdgeEvidence] = {}
-    for j in range(depth - 1, -1, -1):
+    for j, ctx_axes, rows in _context_columns(sizes[:depth], symbols):
         m = sizes[j]
-        rows = reshape_mat(a, m)
         columns = list(zip(*rows))
         col_counts = [len(set(col)) for col in columns]
-        ctx_axes = axes[:-1]
         if max(col_counts) == 1:
-            # every context column is constant: j is not a parent
-            a = rows[0]
-            axes.pop()
             continue
         row_counts = [len(set(row)) for row in rows]
-        total = len(set(a))
         context_witnesses = []
         partial_witnesses = []
         for k, col in enumerate(columns):
@@ -178,8 +190,6 @@ def _classify_level(space: SampleSpace, depth: int, symbols: Sequence[Hashable])
             context_witnesses=tuple(context_witnesses),
             partial_witnesses=tuple(partial_witnesses),
         )
-        a = vec_transpose(rows)
-        axes = [j] + ctx_axes
     return labels, evidence
 
 
@@ -332,21 +342,16 @@ def dependence_subtree(tree: StagedTree, aldag: Aldag, target: int) -> StagedTre
     sub_space = SampleSpace(tuple(space.variables[ax] for ax in parents)
                             + (space.variables[target],))
     q = len(parents)
+    last = tuple(stage_of[key] for key in
+                 itertools.product(*(range(sizes[ax]) for ax in parents)))
     vectors = [StageVector(d, tuple(range(sub_space.prefix_cells(d))))
                for d in range(1, q)]
     if q:
-        last = tuple(stage_of[key] for key in
-                     itertools.product(*(range(sizes[ax]) for ax in parents)))
         vectors.append(StageVector(q, last))
-    sub = StagedTree(sub_space, tuple(vectors))
-
+    fitted = None
     if tree.fitted is not None and tree.fitted[target] is not None:
+        # keyed by the source symbols; the root (q = 0) is symbol 0
         source = tree.fitted[target]
-        if q:
-            entry = {sym: source[sym] for sym in sub.symbols_at(q)}
-        else:
-            entry = {0: source[stage_of[()]]}
-        fitted = [None] * sub_space.p
-        fitted[q] = entry
-        sub = StagedTree(sub_space, sub.stage_vectors, tuple(fitted))
-    return sub
+        entry = {sym: source[sym] for sym in last} if q else {0: source[last[0]]}
+        fitted = (None,) * q + (entry,)
+    return StagedTree(sub_space, tuple(vectors), fitted)

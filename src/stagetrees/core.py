@@ -7,8 +7,10 @@ the *last* coordinate varying fastest.  The root (depth 0) is always a single
 implicit stage and is never stored; where a symbol for it is needed (fitted
 distributions) it is the integer 0.
 
-Stage symbols are opaque labels compared only by equality.  Two stagings are
-structurally equal after :func:`canonical_symbols` relabeling.
+A staging is a partition of each level's vertices, so stage labels carry no
+meaning of their own.  A StagedTree accepts any hashable labels and stores
+canonical ids: each level relabeled 0, 1, ... in first-occurrence order by
+:func:`canonical_symbols`.  Trees with the same partition compare equal.
 """
 from __future__ import annotations
 
@@ -230,10 +232,12 @@ class StagedTree:
     stage_vectors : sequence of StageVector
         One per depth 1..p-1, in order.  The depth-d stages determine the
         conditional distribution of variable d given the first d variables.
+        Symbols may be any hashable labels; the tree stores canonical ids.
     fitted : optional
         Per-depth mapping stage symbol -> probability vector over variable
-        d's levels; entry 0 holds the root distribution under symbol 0.
-        Individual depths may be None (partially fitted tree).
+        d's levels, keyed by the labels passed in `stage_vectors` and stored
+        under the canonical ids; entry 0 holds the root distribution under
+        symbol 0.  Individual depths may be None (partially fitted tree).
     """
 
     space: SampleSpace
@@ -242,7 +246,6 @@ class StagedTree:
 
     def __post_init__(self) -> None:
         vectors = tuple(self.stage_vectors)
-        object.__setattr__(self, "stage_vectors", vectors)
         if len(vectors) != self.space.p - 1:
             raise InvalidArgumentError(
                 f"expected {self.space.p - 1} stage vectors, got {len(vectors)}")
@@ -253,21 +256,27 @@ class StagedTree:
             if len(sv.symbols) != want:
                 raise InvalidArgumentError(
                     f"depth {d} stage vector has length {len(sv.symbols)}, expected {want}")
+        canonical = tuple(StageVector(sv.level, canonical_symbols(sv.symbols))
+                          for sv in vectors)
+        object.__setattr__(self, "stage_vectors", canonical)
         if self.fitted is not None:
-            fitted = tuple(None if entry is None else dict(entry) for entry in self.fitted)
-            object.__setattr__(self, "fitted", fitted)
-            if len(fitted) != self.space.p:
+            entries = tuple(self.fitted)
+            if len(entries) != self.space.p:
                 raise InvalidArgumentError("fitted needs one entry per depth 0..p-1")
-            for d, entry in enumerate(fitted):
+            fitted = []
+            for d, entry in enumerate(entries):
                 if entry is None:
+                    fitted.append(None)
                     continue
-                want_keys = {0} if d == 0 else set(vectors[d - 1].symbols)
-                if set(entry) != want_keys:
+                # the caller's labels -> canonical ids; the root is always 0
+                relabel = ({0: 0} if d == 0 else
+                           dict(zip(vectors[d - 1].symbols, canonical[d - 1].symbols)))
+                if set(entry) != set(relabel):
                     raise InvalidArgumentError(f"fitted stages at depth {d} do not match the staging")
                 k = self.space.level_counts[d]
-                for sym, dist in list(entry.items()):
+                rekeyed = {}
+                for sym, dist in entry.items():
                     dist = tuple(float(x) for x in dist)
-                    entry[sym] = dist
                     if len(dist) != k:
                         raise InvalidArgumentError(
                             f"distribution for stage {sym!r} at depth {d} has length {len(dist)}")
@@ -276,6 +285,9 @@ class StagedTree:
                     if abs(sum(dist) - 1.0) > PROB_TOL:
                         raise InvalidArgumentError(
                             f"distribution for stage {sym!r} at depth {d} does not sum to 1")
+                    rekeyed[relabel[sym]] = dist
+                fitted.append(rekeyed)
+            object.__setattr__(self, "fitted", tuple(fitted))
 
     # -- constructors ------------------------------------------------------
 
@@ -322,19 +334,6 @@ class StagedTree:
         vectors = list(self.stage_vectors)
         vectors[depth - 1] = StageVector(depth, tuple(symbols))
         return StagedTree(self.space, tuple(vectors))
-
-    def canonical(self) -> "StagedTree":
-        """Relabel stages as 0, 1, ... in first-occurrence order per level."""
-        vectors = []
-        fitted = list(self.fitted) if self.fitted is not None else None
-        for d, sv in enumerate(self.stage_vectors, start=1):
-            seen: dict[Hashable, int] = {}
-            vectors.append(StageVector(d, tuple(seen.setdefault(s, len(seen))
-                                                for s in sv.symbols)))
-            if fitted is not None and fitted[d] is not None:
-                fitted[d] = {seen[s]: dist for s, dist in fitted[d].items()}
-        return StagedTree(self.space, tuple(vectors),
-                          None if fitted is None else tuple(fitted))
 
 
 def staging_refines(fine: StagedTree, coarse: StagedTree) -> bool:

@@ -257,9 +257,9 @@ def _space_from_json(payload) -> SampleSpace:
 class ModelDocument:
     """A staged tree plus optional classification, score and search trace.
 
-    The tree is stored in canonical form (stages relabeled 0, 1, ... in
-    first-occurrence order), which makes the serialization unique for a
-    given model.
+    A StagedTree accepts any hashable stage labels and stores canonical ids
+    (0, 1, ... per level in first-occurrence order), so trees with the same
+    partition are equal and serialize to the same bytes.
     """
 
     tree: StagedTree
@@ -268,7 +268,6 @@ class ModelDocument:
     trace: SearchTrace | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "tree", self.tree.canonical())
         if self.aldag is not None and self.aldag.dag.p != self.tree.p:
             raise InvalidArgumentError("labeled DAG and tree have different dimension")
 
@@ -439,7 +438,6 @@ def _tree_dot(tree: StagedTree, names) -> str:
     names = list(names)
     if len(names) != space.p:
         raise InvalidArgumentError("wrong number of variable names")
-    tree = tree.canonical()
     lines = ["digraph staged_tree {", "  rankdir=LR;",
              "  node [shape=circle style=filled fixedsize=true width=0.45];"]
     for d in range(space.p):

@@ -19,7 +19,8 @@ from functools import partial
 
 import numpy as np
 
-from .conversion import _parent_stage_ids, dag_to_staged_tree, staged_tree_to_aldag
+from .conversion import (_context_columns, _parent_stage_ids, dag_to_staged_tree,
+                         staged_tree_to_aldag)
 from .core import (
     Dag,
     Dataset,
@@ -28,9 +29,6 @@ from .core import (
     StagedTree,
     StageVector,
     UnsupportedSizeError,
-    canonical_symbols,
-    reshape_mat,
-    vec_transpose,
 )
 from .scoring import FitConfig, _loglik, _stage_counts, score
 
@@ -184,14 +182,11 @@ def _vertex_moves(table, sizes, penalty, assign, ids, counts, loglik):
 def _column_merge_groups(sizes_prefix, symbols):
     """Stage sets appearing together in one context column of some reshape."""
     groups = set()
-    a = tuple(symbols)
-    for m in reversed(sizes_prefix):
-        mat = reshape_mat(a, m)
-        for column in zip(*mat):
+    for _, _, rows in _context_columns(sizes_prefix, symbols):
+        for column in zip(*rows):
             stages = set(column)
             if len(stages) > 1:
                 groups.add(tuple(sorted(stages)))
-        a = vec_transpose(mat)
     return sorted(groups)
 
 
@@ -259,11 +254,11 @@ def _run_search(candidates, start: StagedTree, data: Dataset, cfg: SearchConfig)
     current = _initial_score(start, data, cfg)
     steps: list[TraceStep] = []
     sizes = start.space.level_counts
-    vectors = {d: canonical_symbols(start.symbols_at(d)) for d in range(1, start.p)}
+    vectors = list(start.stage_vectors)
     for depth in _levels_to_search(start.p, cfg):
         table = data.level_table(depth)
         penalty = (sizes[depth] - 1) * unit
-        assign = np.array(vectors[depth])
+        assign = np.array(start.symbols_at(depth))
         accepted = 0
         while cfg.max_iter is None or accepted < cfg.max_iter:
             ids, stage_of = np.unique(assign, return_inverse=True)
@@ -279,10 +274,8 @@ def _run_search(candidates, start: StagedTree, data: Dataset, cfg: SearchConfig)
             steps.append(TraceStep(depth, kind, stages, current, current + delta))
             current += delta
             accepted += 1
-        vectors[depth] = canonical_symbols(assign.tolist())
-    tree = StagedTree(start.space, tuple(
-        StageVector(d, vectors[d]) for d in range(1, start.p)))
-    return tree, SearchTrace(tuple(steps))
+        vectors[depth - 1] = StageVector(depth, assign.tolist())
+    return StagedTree(start.space, tuple(vectors)), SearchTrace(tuple(steps))
 
 
 def bhc(start: StagedTree, data: Dataset, cfg: SearchConfig = SearchConfig()):

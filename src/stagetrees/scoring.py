@@ -17,7 +17,6 @@ from .core import (
     InvalidArgumentError,
     StagedTree,
     UnfittedModelError,
-    canonical_symbols,
     lex_index,
 )
 
@@ -85,12 +84,10 @@ def _stage_counts(table: np.ndarray, stage_ids, n_stages: int) -> np.ndarray:
     return counts
 
 
-def _level_stages(tree: StagedTree, data: Dataset, depth: int):
-    """Stage symbols at a depth in first-occurrence order, with their count matrix."""
-    symbols = tree.symbols_at(depth)
-    stages = list(dict.fromkeys(symbols))
-    return stages, _stage_counts(data.level_table(depth), canonical_symbols(symbols),
-                                 len(stages))
+def _level_counts(tree: StagedTree, data: Dataset, depth: int) -> np.ndarray:
+    """Count matrix of the stages at a depth; row s belongs to stage id s."""
+    return _stage_counts(data.level_table(depth), tree.symbols_at(depth),
+                         tree.stage_count(depth))
 
 
 def _check_fit_inputs(tree: StagedTree, data: Dataset) -> None:
@@ -112,11 +109,11 @@ def fit(tree: StagedTree, data: Dataset, cfg: FitConfig = FitConfig()) -> Staged
     fitted = []
     for d in range(tree.p):
         k = tree.space.level_counts[d]
-        stages, counts = _level_stages(tree, data, d)
+        counts = _level_counts(tree, data, d)
         total = counts.sum(axis=1, keepdims=True) + lam * k
         with np.errstate(divide="ignore", invalid="ignore"):
             dists = np.where(total == 0, 1.0 / k, (counts + lam) / total)
-        fitted.append(dict(zip(stages, map(tuple, dists.tolist()))))
+        fitted.append(dict(enumerate(map(tuple, dists.tolist()))))
     return replace(tree, fitted=tuple(fitted))
 
 
@@ -156,7 +153,7 @@ def score(tree: StagedTree, data: Dataset, cfg: FitConfig = FitConfig()) -> Scor
     _check_fit_inputs(tree, data)
     log_lik = 0.0
     for d in range(tree.p):
-        _, counts = _level_stages(tree, data, d)
+        counts = _level_counts(tree, data, d)
         for stage_loglik in _loglik(counts, cfg.smoothing).tolist():
             log_lik += stage_loglik
     df = degrees_of_freedom(tree)

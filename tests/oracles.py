@@ -246,3 +246,23 @@ def d_separated_by_paths(dag, a, b, c) -> bool:
                 if not blocked(path):
                     return False
     return True
+
+
+def column_merge_groups_by_full_walk(sizes, symbols) -> list[tuple]:
+    """csbhc merge groups by reshaping at every tail, constant tails included.
+
+    The walk rotates each tail j = len(sizes)-1 .. 0 to the fastest
+    coordinate and reads every column of the (|X_j|, n/|X_j|) matrix; it
+    never drops a coordinate, so a tail whose columns are all constant
+    repeats the columns of every later reshape.  Returns the sorted distinct
+    stage sets of size two or more.
+    """
+    groups = set()
+    a = list(symbols)
+    for m in reversed(list(sizes)):
+        rows = [a[u::m] for u in range(m)]  # row u holds a[k*m + u], k = 0, 1, ...
+        for column in zip(*rows):
+            if len(set(column)) > 1:
+                groups.add(tuple(sorted(set(column))))
+        a = [sym for row in rows for sym in row]
+    return sorted(groups)

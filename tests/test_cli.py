@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import tracemalloc
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -78,7 +79,7 @@ class TestScore:
         code, out, _ = run(capsys, "learn", "--data", titanic_csv, "--count-column", "count",
                            "--out", str(model))
         assert code == 0
-        header, *rows = open(titanic_csv).read().splitlines()
+        header, *rows = Path(titanic_csv).read_text().splitlines()
         holdout = tmp_path / "holdout.csv"
         holdout.write_text("\n".join([header] + rows[::-1]) + "\n")
         assert st.read_csv(holdout, count_column="count").space != st.read_csv(
@@ -209,6 +210,28 @@ class TestRefine:
         assert code == 0
         edges = {tuple(e) for e in json.loads(out)["dag_edges"]}
         assert edges == {(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)}
+
+    def test_dag_variable_missing_from_data(self, capsys, tmp_path, fig1_files):
+        csv = tmp_path / "three.csv"
+        csv.write_text("Class,Gender,Survived\n1st,Male,No\nCrew,Female,Yes\n")
+        code, _, err = run(capsys, "refine", "--data", str(csv), "--dag", fig1_files[0],
+                           "--out", str(tmp_path / "m.json"))
+        assert code == 3
+        assert json.loads(err)["code"] == "unknown-variable"
+
+    def test_columns_outside_the_dag_are_ignored(self, capsys, tmp_path, titanic_csv,
+                                                 fig1_files):
+        header, *rows = Path(titanic_csv).read_text().splitlines()
+        wider = tmp_path / "wider.csv"
+        wider.write_text("\n".join([f"Deck,{header}"] + [f"{i % 3},{row}" for i, row in
+                                                        enumerate(rows)]) + "\n")
+        outputs = []
+        for data in (titanic_csv, str(wider)):
+            code, out, _ = run(capsys, "refine", "--data", data, "--count-column", "count",
+                               "--dag", fig1_files[0], "--out", str(tmp_path / "m.json"))
+            assert code == 0
+            outputs.append((out, (tmp_path / "m.json").read_bytes()))
+        assert outputs[0] == outputs[1]
 
     def test_hc_rejected(self, capsys, tmp_path, titanic_csv, fig1_files):
         code, _, _ = run(capsys, "refine", "--data", titanic_csv,

@@ -253,7 +253,7 @@ class TestDependenceSubtree:
         assert sub.symbols_at(3) == st.canonical_symbols(fitted.symbols_at(3))
         assert sub.symbols_at(1) == (0, 1, 2, 3)        # shallow levels saturated
         assert sub.distributions_at(3) == st.fit(
-            titanic_generic_tree, titanic).canonical().distributions_at(3)
+            titanic_generic_tree, titanic).distributions_at(3)
 
     def test_marginalizes_away_nonparents(self):
         # 4 variables; the target's stage vector ignores x0 entirely

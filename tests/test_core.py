@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hs
 
 import stagetrees as st
 
@@ -126,7 +127,62 @@ class TestStagedTree:
     def test_canonical_relabels_first_occurrence(self):
         space = space_of(2, 2)
         tree = st.StagedTree(space, (st.StageVector(1, ("b", "a")),))
-        assert tree.canonical().symbols_at(1) == (0, 1)
+        assert tree.symbols_at(1) == (0, 1)
+        assert tree == st.StagedTree.saturated(space)
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(hs.data())
+    def test_any_labels_give_the_canonical_tree(self, draw):
+        sizes = draw.draw(hs.lists(hs.integers(2, 3), min_size=2, max_size=4))
+        space = space_of(*sizes)
+        labels = hs.one_of(hs.integers(-5, 50), hs.text(max_size=2),
+                           hs.tuples(hs.integers(0, 2), hs.text(max_size=1)))
+        raw, ids = [], []
+        for d in range(1, space.p):
+            cells = space.prefix_cells(d)
+            stages = draw.draw(hs.lists(hs.integers(0, cells - 1), min_size=cells,
+                                        max_size=cells))
+            # an injective map of the stage numbers onto mixed hashables
+            image = draw.draw(hs.lists(labels, min_size=cells, max_size=cells, unique=True))
+            raw.append([image[s] for s in stages])
+            ids.append([sorted(set(stages), key=stages.index).index(s) for s in stages])
+        canonical = st.StagedTree(space, tuple(
+            st.StageVector(d, tuple(v)) for d, v in enumerate(ids, start=1)))
+        raw_vectors = tuple(st.StageVector(d, tuple(v)) for d, v in enumerate(raw, start=1))
+        relabeled = st.StagedTree(space, raw_vectors)
+        assert relabeled == canonical
+        assert [relabeled.symbols_at(d) for d in range(1, space.p)] == [tuple(v) for v in ids]
+
+        counts = draw.draw(hs.lists(hs.integers(0, 20), min_size=space.n_cells,
+                                    max_size=space.n_cells))
+        counts[0] += sum(counts) == 0
+        data = st.Dataset(space, counts)
+        fitted = st.fit(canonical, data)
+        # the same distributions keyed by the caller's labels
+        by_label = [fitted.fitted[0]] + [
+            {r: fitted.fitted[d][i] for r, i in zip(raw[d - 1], ids[d - 1])}
+            for d in range(1, space.p)]
+        fitted_relabeled = st.StagedTree(space, raw_vectors, tuple(by_label))
+        assert fitted_relabeled == fitted
+        report = st.score(canonical, data)
+        assert st.score(relabeled, data) == report
+        aldag, evidence = st.staged_tree_to_aldag(canonical)
+        assert st.staged_tree_to_aldag(relabeled) == (aldag, evidence)
+        assert (st.ModelDocument(fitted_relabeled, aldag, report).to_json()
+                == st.ModelDocument(fitted, aldag, report).to_json())
+
+    def test_fitted_keys_must_match_the_labels_passed(self):
+        space = space_of(2, 2)
+        vectors = (st.StageVector(1, ("b", "a")),)
+        root = {0: (0.5, 0.5)}
+        tree = st.StagedTree(space, vectors, fitted=(root, {"a": (0.3, 0.7), "b": (1.0, 0.0)}))
+        assert tree.distributions_at(1) == {0: (1.0, 0.0), 1: (0.3, 0.7)}
+        with pytest.raises(st.InvalidArgumentError, match="do not match"):
+            # canonical ids are not the labels this caller used
+            st.StagedTree(space, vectors, fitted=(root, {0: (0.5, 0.5), 1: (0.5, 0.5)}))
+        with pytest.raises(st.InvalidArgumentError, match="do not match"):
+            st.StagedTree(space, vectors, fitted=({"root": (0.5, 0.5)}, {"a": (0.5, 0.5),
+                                                                      "b": (0.5, 0.5)}))
 
     def test_replace_level_drops_fit(self, titanic, titanic_bn_tree):
         fitted = st.fit(titanic_bn_tree, titanic)

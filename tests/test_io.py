@@ -247,9 +247,9 @@ class TestModelDocument:
         path = tmp_path / "sub.json"
         st.ModelDocument(sub).save(path)
         loaded = st.ModelDocument.load(path)
-        assert loaded.tree == sub.canonical()
+        assert loaded.tree == sub
         assert loaded.tree.fitted[0] is None
-        assert loaded.tree.distributions_at(2) == sub.canonical().distributions_at(2)
+        assert loaded.tree.distributions_at(2) == sub.distributions_at(2)
 
     def test_no_stray_temp_files(self, tmp_path, titanic, titanic_bn_tree):
         doc = self.full_document(titanic, titanic_bn_tree)

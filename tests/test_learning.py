@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as hs
 
 import stagetrees as st
+from stagetrees.conversion import _parent_stage_ids
+from stagetrees.learning import _column_merge_groups
 
 from conftest import random_space, random_dataset
-from oracles import bhc_by_pairs, learn_dag_by_global_toggles
+from oracles import bhc_by_pairs, column_merge_groups_by_full_walk, learn_dag_by_global_toggles
 
 L = st.DependenceLabel
 
@@ -159,6 +161,25 @@ class TestCsbhc:
             tree, _ = st.csbhc(st.StagedTree.saturated(space), data)
             aldag, _ = st.staged_tree_to_aldag(tree)
             assert all(lab is not L.LOCAL for lab in aldag.labels.values())
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(hs.data())
+    def test_merge_groups_match_full_walk(self, draw):
+        # the shared walker drops constant tails; the reference never does
+        sizes = draw.draw(hs.lists(hs.integers(2, 3), min_size=1, max_size=4))
+        cells = math.prod(sizes)
+        kind = draw.draw(hs.sampled_from(["random", "dag", "coarsened-dag"]))
+        if kind == "random":
+            symbols = draw.draw(hs.lists(hs.integers(0, draw.draw(hs.integers(0, 5))),
+                                         min_size=cells, max_size=cells))
+        else:
+            parents = draw.draw(hs.sets(hs.integers(0, len(sizes) - 1)))
+            symbols = _parent_stage_ids(sizes, parents).tolist()
+            if kind == "coarsened-dag":
+                r = draw.draw(hs.integers(1, 4))
+                symbols = [s % r for s in symbols]
+        assert _column_merge_groups(sizes, symbols) == column_merge_groups_by_full_walk(
+            sizes, symbols)
 
 
 class TestSearchConfig:
