@@ -29,9 +29,7 @@ from .core import (
     canonical_symbols,
     lex_index,
     lex_unindex,
-    reshape_mat,
     staging_refines,
-    vec_transpose,
 )
 from .io import (
     DataError,
@@ -102,12 +100,10 @@ __all__ = [
     "load_titanic",
     "read_csv",
     "refine_dag",
-    "reshape_mat",
     "save_dag",
     "save_space",
     "score",
     "staged_tree_to_aldag",
     "staging_refines",
-    "vec_transpose",
     "write_dot",
 ]

@@ -61,11 +61,12 @@ def _resolve_vertex(token: str, p: int, names) -> int:
 # subcommands
 
 def _cmd_learn(args) -> int:
-    data = _read_data(args)
-    if args.order:
-        data = data.reorder(args.order)
+    data = _read_data(args, order=args.order)
     cfg = SearchConfig()
     if args.enumerate_orders:
+        if args.fix_last is not None and args.fix_last not in data.space.names:
+            raise DataError("unknown-variable",
+                            f"--fix-last {args.fix_last!r} not in {list(data.space.names)}")
         order, tree = enumerate_orders(data, fixed_last=args.fix_last, algo=args.algo, cfg=cfg)
         data = data.reorder(order)
         trace = None

@@ -26,8 +26,6 @@ from .core import (
     StageVector,
     canonical_symbols,
     lex_index,
-    reshape_mat,
-    vec_transpose,
 )
 
 __all__ = [
@@ -117,29 +115,36 @@ def _column_context(axes: Sequence[int], sizes: Sequence[int], k: int) -> Contex
     return tuple(sorted(zip(axes, values)))
 
 
-def _context_columns(sizes: Sequence[int], symbols: Sequence[Hashable]):
+def _context_columns(sizes: Sequence[int], symbols):
     """Walk a depth-len(sizes) stage vector tail by tail, j = len(sizes)-1 .. 0.
 
-    Yields (j, context axes, rows): the vector is kept arranged so that
-    variable j is its fastest coordinate, so reshape_mat with m = |X_j| rows
-    puts one conditioning context (an assignment of the context axes, last
-    fastest) in each column.  Between tails the vector becomes vec of the
-    transpose, or only the first row when every column is constant (the
+    mat and vec on an int array: yields (j, context axes, rows), where the
+    vector is kept arranged so that variable j is its fastest coordinate and
+    rows = mat^{m,n}(a) = a.reshape(-1, m).T, m = |X_j|, holds one
+    conditioning context (an assignment of the context axes, last fastest)
+    in each column.  Between tails the vector becomes vec of the transpose,
+    rows.ravel(), or only the first row when every column is constant (the
     stages ignore x_j and the coordinate is dropped).
     """
-    a = tuple(symbols)
+    a = np.asarray(symbols)
     axes = list(range(len(sizes)))
     for j in reversed(axes):
-        rows = reshape_mat(a, sizes[j])
+        rows = a.reshape(-1, sizes[j]).T
         context = axes[:-1]
         yield j, context, rows
-        if all(row == rows[0] for row in rows):
+        if (rows == rows[0]).all():
             a, axes = rows[0], context
         else:
-            a, axes = vec_transpose(rows), [j] + context
+            a, axes = rows.ravel(), [j] + context
 
 
-def _classify_level(space: SampleSpace, depth: int, symbols: Sequence[Hashable]):
+def _distinct_per_column(a: np.ndarray) -> np.ndarray:
+    # distinct entries of each column, counted by sorting
+    s = np.sort(a, axis=0)
+    return 1 + (s[1:] != s[:-1]).sum(axis=0)
+
+
+def _classify_level(space: SampleSpace, depth: int, symbols: Sequence[int]):
     """One pass of the matrix classification over the depth-`depth` stage vector.
 
     Returns ({tail j: label}, {tail j: EdgeEvidence}) from the reshapes of
@@ -152,40 +157,35 @@ def _classify_level(space: SampleSpace, depth: int, symbols: Sequence[Hashable])
     evidence: dict[int, EdgeEvidence] = {}
     for j, ctx_axes, rows in _context_columns(sizes[:depth], symbols):
         m = sizes[j]
-        columns = list(zip(*rows))
-        col_counts = [len(set(col)) for col in columns]
-        if max(col_counts) == 1:
+        col_counts = _distinct_per_column(rows)
+        if col_counts.max() == 1:
             continue
-        row_counts = [len(set(row)) for row in rows]
-        context_witnesses = []
+        row_counts = _distinct_per_column(rows.T)
+        context_witnesses = [_column_context(ctx_axes, sizes, k)
+                             for k in np.flatnonzero(col_counts == 1).tolist()]
+        partial = (col_counts > 1) & (col_counts < m)
         partial_witnesses = []
-        for k, col in enumerate(columns):
-            if col_counts[k] == 1:
-                context_witnesses.append(_column_context(ctx_axes, sizes, k))
-            else:
-                groups: dict[Hashable, list[int]] = {}
-                for level, sym in enumerate(col):
-                    groups.setdefault(sym, []).append(level)
-                shared = [tuple(g) for g in groups.values() if 2 <= len(g) < m]
-                if shared:
-                    ctx = _column_context(ctx_axes, sizes, k)
-                    partial_witnesses.extend((ctx, g) for g in shared)
-        if min(col_counts) == m:
-            label = (DependenceLabel.LOCAL if sum(row_counts) != total
+        for k in np.flatnonzero(partial).tolist():
+            groups: dict[int, list[int]] = {}
+            for level, sym in enumerate(rows[:, k].tolist()):
+                groups.setdefault(sym, []).append(level)
+            ctx = _column_context(ctx_axes, sizes, k)
+            partial_witnesses.extend((ctx, tuple(g)) for g in groups.values() if len(g) >= 2)
+        if col_counts.min() == m:
+            label = (DependenceLabel.LOCAL if row_counts.sum() != total
                      else DependenceLabel.TOTAL)
-        elif min(col_counts) == 1:
+        elif col_counts.min() == 1:
             # a non-constant column with a repeated symbol witnesses a
             # partial pattern on top of the context one
-            label = (DependenceLabel.CONTEXT_PARTIAL
-                     if any(1 < c < m for c in col_counts)
+            label = (DependenceLabel.CONTEXT_PARTIAL if partial.any()
                      else DependenceLabel.CONTEXT)
         else:
             label = DependenceLabel.PARTIAL
         labels[j] = label
         evidence[j] = EdgeEvidence(
             edge=(j, depth),
-            column_counts=tuple(col_counts),
-            row_counts=tuple(row_counts),
+            column_counts=tuple(col_counts.tolist()),
+            row_counts=tuple(row_counts.tolist()),
             total_distinct=total,
             context_witnesses=tuple(context_witnesses),
             partial_witnesses=tuple(partial_witnesses),
@@ -327,23 +327,20 @@ def dependence_subtree(tree: StagedTree, aldag: Aldag, target: int) -> StagedTre
         raise InvalidArgumentError(f"target {target} out of range")
     parents = aldag.dag.parents(target)
     space = tree.space
-    sizes = space.level_counts
-    symbols = tree.symbols_at(target)
-
-    stage_of: dict[tuple[int, ...], Hashable] = {}
-    config_iter = itertools.product(*(range(sizes[ax]) for ax in range(target)))
-    for pos, config in enumerate(config_iter):
-        key = tuple(config[ax] for ax in parents)
-        if stage_of.setdefault(key, symbols[pos]) != symbols[pos]:
-            raise InvalidArgumentError(
-                f"staging of variable {target} depends on a variable outside "
-                f"its ALDAG parents {parents}")
+    # the target's stages on the grid of its predecessors, and their values
+    # where every non-parent is at level 0
+    grid = np.asarray(tree.symbols_at(target)).reshape(space.level_counts[:target])
+    at_zero = grid[tuple(slice(None) if ax in parents else slice(0, 1)
+                         for ax in range(target))]
+    if not (grid == at_zero).all():
+        raise InvalidArgumentError(
+            f"staging of variable {target} depends on a variable outside "
+            f"its ALDAG parents {parents}")
 
     sub_space = SampleSpace(tuple(space.variables[ax] for ax in parents)
                             + (space.variables[target],))
     q = len(parents)
-    last = tuple(stage_of[key] for key in
-                 itertools.product(*(range(sizes[ax]) for ax in parents)))
+    last = tuple(at_zero.ravel().tolist())
     vectors = [StageVector(d, tuple(range(sub_space.prefix_cells(d))))
                for d in range(1, q)]
     if q:

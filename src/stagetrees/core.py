@@ -36,8 +36,6 @@ __all__ = [
     "Dataset",
     "lex_index",
     "lex_unindex",
-    "reshape_mat",
-    "vec_transpose",
     "canonical_symbols",
     "staging_refines",
 ]
@@ -167,28 +165,6 @@ def lex_unindex(space: SampleSpace, index: int, length: int) -> tuple[int, ...]:
     for j in range(length - 1, -1, -1):
         index, out[j] = divmod(index, sizes[j])
     return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# stage-vector reshape algebra
-#
-# mat^{m,n} fills column-wise: A[u][k] = a[k*m + u].  With the last-fastest
-# indexing above, reshaping a depth-i stage vector with m = |X_i| puts the
-# deepest coordinate on the rows and one column per context.  vec_transpose
-# rotates that coordinate to the slowest position, exposing the next one.
-
-
-def reshape_mat(a: Sequence[Hashable], m: int) -> tuple[tuple[Hashable, ...], ...]:
-    """Column-wise (m, len(a)/m) matrix over an arbitrary symbol list."""
-    if m <= 0 or len(a) % m:
-        raise InvalidArgumentError(f"row count {m} does not divide length {len(a)}")
-    n = len(a) // m
-    return tuple(tuple(a[k * m + u] for k in range(n)) for u in range(m))
-
-
-def vec_transpose(matrix: Sequence[Sequence[Hashable]]) -> tuple[Hashable, ...]:
-    """vec of the transpose: stack the rows of the matrix."""
-    return tuple(sym for row in matrix for sym in row)
 
 
 def canonical_symbols(symbols: Iterable[Hashable]) -> tuple[int, ...]:

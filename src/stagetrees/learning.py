@@ -22,6 +22,7 @@ import numpy as np
 from .conversion import (_context_columns, _parent_stage_ids, dag_to_staged_tree,
                          staged_tree_to_aldag)
 from .core import (
+    MAX_CELLS,
     Dag,
     Dataset,
     InvalidArgumentError,
@@ -127,8 +128,15 @@ def _pick(deltas: np.ndarray) -> int | None:
     return best if deltas.flat[best] < -IMPROVEMENT_EPS else None
 
 
+def _check_candidates(rows: int, cols: int) -> None:
+    if rows * cols > MAX_CELLS:
+        raise UnsupportedSizeError(
+            f"a {rows} x {cols} candidate matrix exceeds the {MAX_CELLS} entries supported")
+
+
 def _merged_loglik(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Matrix of _loglik(left[i] + right[j]), scored in row blocks."""
+    _check_candidates(len(left), len(right))
     out = np.empty((len(left), len(right)))
     step = max(1, _BLOCK_ELEMENTS // right.size)
     for a in range(0, len(left), step):
@@ -179,35 +187,46 @@ def _vertex_moves(table, sizes, penalty, assign, ids, counts, loglik):
     return deltas, move
 
 
-def _column_merge_groups(sizes_prefix, symbols):
-    """Stage sets appearing together in one context column of some reshape."""
-    groups = set()
-    for _, _, rows in _context_columns(sizes_prefix, symbols):
-        for column in zip(*rows):
-            stages = set(column)
-            if len(stages) > 1:
-                groups.add(tuple(sorted(stages)))
-    return sorted(groups)
+def _column_merge_groups(sizes_prefix, symbols) -> np.ndarray:
+    """Stage sets appearing together in one context column of some reshape.
+
+    One row per distinct set of two or more stages, ascending and padded
+    with -1; rows in the order of the sets as sorted tuples.
+    """
+    reshapes = [rows.T for _, _, rows in _context_columns(sizes_prefix, symbols)]
+    groups = np.full((sum(map(len, reshapes)), max(sizes_prefix)), -1)
+    top = 0
+    for columns in reshapes:
+        s = np.sort(columns, axis=1)
+        # repeats move behind the distinct stages, then become the pad
+        behind = np.iinfo(s.dtype).max
+        s[:, 1:][s[:, 1:] == s[:, :-1]] = behind
+        s.sort(axis=1)
+        s[s == behind] = -1
+        groups[top:top + len(s), :s.shape[1]] = s
+        top += len(s)
+    groups = groups[groups[:, 1] >= 0]
+    groups = groups[np.lexsort(groups.T[::-1])]
+    keep = np.ones(len(groups), dtype=bool)
+    keep[1:] = (groups[1:] != groups[:-1]).any(axis=1)
+    return groups[keep]
 
 
 def _column_joins(table, sizes, penalty, assign, ids, counts, loglik):
     """csbhc candidates: merge the stages of one context column, groups in sorted order."""
-    groups = _column_merge_groups(sizes, assign.tolist())
-    # stage index len(ids) is an empty pad that widens every group to the longest
-    rows = np.full((len(groups), max(map(len, groups), default=1)), len(ids))
-    for r, group in enumerate(groups):
-        rows[r, :len(group)] = np.searchsorted(ids, group)
+    # stage indices into ids; the -1 pad indexes an appended empty stage
+    rows = _column_merge_groups(sizes, np.searchsorted(ids, assign))
     counts = np.vstack([counts, np.zeros(counts.shape[1])])
     loglik = np.append(loglik, 0.0)
     parts = loglik[rows[:, 0]]
     for col in rows.T[1:]:
         parts += loglik[col]  # left to right, as sum() adds a group's terms
     gain = _loglik(counts[rows].sum(axis=1)) - parts
-    joined = np.array([len(group) - 1 for group in groups])
+    joined = (rows >= 0).sum(axis=1) - 1
     deltas = -2.0 * gain - joined * penalty
 
     def move(best):
-        group = groups[best]
+        group = tuple(ids[rows[best][rows[best] >= 0]].tolist())
         return "column-join", group, np.isin(assign, group[1:]), group[0]
     return deltas, move
 
@@ -282,8 +301,13 @@ def bhc(start: StagedTree, data: Dataset, cfg: SearchConfig = SearchConfig()):
     """Backward hill-climb: repeatedly join the best pair of stages per level.
 
     Join-only, so the result is always a coarsening of the start
-    (staging_refines(start, result) holds).
+    (staging_refines(start, result) holds).  A level whose S x S candidate
+    matrix would exceed MAX_CELLS entries raises UnsupportedSizeError before
+    any level is searched.
     """
+    # joins never add a stage, so each level's first matrix is its largest
+    for depth in _levels_to_search(start.p, cfg):
+        _check_candidates(start.stage_count(depth), start.stage_count(depth))
     return _run_search(_pair_joins, start, data, cfg)
 
 
@@ -361,8 +385,9 @@ def enumerate_orders(data: Dataset, fixed_last: int | str | None = None,
     """Exhaustive search over variable orders; returns (best order, its tree).
 
     Every permutation (honoring `fixed_last`) is searched from the
-    algorithm's default start; the best final score wins, ties going to the
-    lexicographically smallest order.  Guarded to p <= 8.
+    algorithm's default start.  The pick rule is the one of the searches:
+    among the orders whose final score lies within TIE_TOLERANCE of the
+    best, the lexicographically smallest wins.  Guarded to p <= 8.
     """
     p = data.space.p
     if p > 8:
@@ -376,7 +401,10 @@ def enumerate_orders(data: Dataset, fixed_last: int | str | None = None,
         if not 0 <= last < p:
             raise InvalidArgumentError(f"fixed_last {fixed_last!r} out of range")
     free = [i for i in range(p) if i != last]
-    best = None
+    # (score, order, tree) of the orders within TIE_TOLERANCE of the best so
+    # far, in lexicographic order; an order dropped here is not within the
+    # tolerance of the overall best either
+    near: list = []
     for perm in itertools.permutations(free):
         order = perm + (last,) if last is not None else perm
         reordered = data.reorder(order)
@@ -384,8 +412,8 @@ def enumerate_orders(data: Dataset, fixed_last: int | str | None = None,
         final = trace.final_score
         if final is None:
             final = _initial_score(tree, reordered, cfg)
-        key = (final, order)
-        if best is None or key < best[0]:
-            best = (key, tree)
-    (final, order), tree = best
+        near.append((final, order, tree))
+        low = min(f for f, _, _ in near)
+        near = [c for c in near if c[0] <= low + TIE_TOLERANCE]
+    _, order, tree = near[0]
     return tuple(data.space.names[i] for i in order), tree

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import strategies as hs
 
 import stagetrees as st
+from stagetrees.conversion import _parent_stage_ids
 
 # registry for the acceptance suite: criterion number -> one summary line
 ACCEPTANCE_RESULTS: dict[int, str] = {}
@@ -96,3 +100,22 @@ def random_staging(rng: np.random.Generator, space: st.SampleSpace) -> st.Staged
         symbols = rng.integers(0, n_stages, size=cells)
         vectors.append(st.StageVector(d, tuple(int(s) for s in symbols)))
     return st.StagedTree(space, tuple(vectors))
+
+
+def draw_level(draw, sizes) -> list[int]:
+    """A Hypothesis-drawn stage vector over the configurations of `sizes`.
+
+    Random symbols, the staging of a random parent set, or that staging
+    with its stages pooled modulo a random count.
+    """
+    cells = math.prod(sizes)
+    kind = draw.draw(hs.sampled_from(["random", "dag", "coarsened-dag"]))
+    if kind == "random":
+        return draw.draw(hs.lists(hs.integers(0, draw.draw(hs.integers(0, 5))),
+                                  min_size=cells, max_size=cells))
+    parents = draw.draw(hs.sets(hs.integers(0, len(sizes) - 1)))
+    symbols = _parent_stage_ids(sizes, parents).tolist()
+    if kind == "coarsened-dag":
+        r = draw.draw(hs.integers(1, 4))
+        symbols = [s % r for s in symbols]
+    return symbols

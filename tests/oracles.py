@@ -266,3 +266,96 @@ def column_merge_groups_by_full_walk(sizes, symbols) -> list[tuple]:
                 groups.add(tuple(sorted(set(column))))
         a = [sym for row in rows for sym in row]
     return sorted(groups)
+
+
+def _context_of_column(axes, sizes, k) -> tuple:
+    # assignment of `axes` (in their order, last fastest) numbered k, sorted by variable
+    values = [0] * len(axes)
+    for pos in range(len(axes) - 1, -1, -1):
+        k, values[pos] = divmod(k, sizes[axes[pos]])
+    return tuple(sorted(zip(axes, values)))
+
+
+def classify_level_by_tuples(sizes, depth: int, symbols) -> dict:
+    """Edge labels and evidence of one level by the tuple reshape walk.
+
+    For tails j = depth-1 .. 0 the stage vector, kept with variable j
+    fastest, is cut into an (m, n) matrix of Python tuples with one context
+    per column; a tail whose columns are all constant is dropped (and has no
+    edge), otherwise the rows are stacked for the next tail.  Returns
+    {j: (label, column_counts, row_counts, total_distinct,
+    context_witnesses, partial_witnesses)} for every edge (j, depth).
+    """
+    total = len(set(symbols))
+    out = {}
+    a = list(symbols)
+    axes = list(range(depth))
+    for j in reversed(range(depth)):
+        m = sizes[j]
+        rows = [tuple(a[u::m]) for u in range(m)]  # row u holds a[k*m + u]
+        context = axes[:-1]
+        columns = list(zip(*rows))
+        col_counts = [len(set(col)) for col in columns]
+        if max(col_counts) == 1:
+            a, axes = list(rows[0]), context
+            continue
+        a, axes = [sym for row in rows for sym in row], [j] + context
+        row_counts = [len(set(row)) for row in rows]
+        context_witnesses, partial_witnesses = [], []
+        for k, col in enumerate(columns):
+            if col_counts[k] == 1:
+                context_witnesses.append(_context_of_column(context, sizes, k))
+                continue
+            groups: dict = {}
+            for level, sym in enumerate(col):
+                groups.setdefault(sym, []).append(level)
+            for g in groups.values():
+                if 2 <= len(g) < m:
+                    partial_witnesses.append((_context_of_column(context, sizes, k), tuple(g)))
+        if min(col_counts) == m:
+            label = "local" if sum(row_counts) != total else "total"
+        elif min(col_counts) == 1:
+            label = "context/partial" if any(1 < c < m for c in col_counts) else "context"
+        else:
+            label = "partial"
+        out[j] = (label, tuple(col_counts), tuple(row_counts), total,
+                  tuple(context_witnesses), tuple(partial_witnesses))
+    return out
+
+
+def dependence_subtree_by_configurations(tree, parents, target: int):
+    """Dependence subtree of `target` over `parents` by walking every configuration.
+
+    Each configuration of the target's predecessors hands its stage to the
+    key of its parent values; a key meeting two stages means the staging
+    depends on a non-parent, and ValueError is raised.  The subtree is
+    saturated above the target, whose stages are read key by key in
+    lexicographic order; the target's fitted distributions, if any, are
+    carried over.
+    """
+    from stagetrees.core import SampleSpace, StagedTree, StageVector
+
+    space = tree.space
+    sizes = space.level_counts
+    symbols = tree.symbols_at(target)
+    stage_of: dict = {}
+    configs = itertools.product(*(range(sizes[ax]) for ax in range(target)))
+    for pos, config in enumerate(configs):
+        key = tuple(config[ax] for ax in parents)
+        if stage_of.setdefault(key, symbols[pos]) != symbols[pos]:
+            raise ValueError(f"staging of variable {target} depends on a non-parent")
+    sub_space = SampleSpace(tuple(space.variables[ax] for ax in parents)
+                            + (space.variables[target],))
+    q = len(parents)
+    last = tuple(stage_of[key] for key in
+                 itertools.product(*(range(sizes[ax]) for ax in parents)))
+    vectors = [StageVector(d, tuple(range(math.prod(sizes[ax] for ax in parents[:d]))))
+               for d in range(1, q)]
+    if q:
+        vectors.append(StageVector(q, last))
+    fitted = None
+    if tree.fitted is not None and tree.fitted[target] is not None:
+        source = tree.fitted[target]
+        entry = {sym: source[sym] for sym in last} if q else {0: source[last[0]]}
+        fitted = (None,) * q + (entry,)
+    return StagedTree(sub_space, tuple(vectors), fitted)

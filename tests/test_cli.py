@@ -183,6 +183,25 @@ class TestLearn:
         assert code == 0
         assert json.loads(out)["order"][-1] == "b"
 
+    def test_order_selects_the_variables(self, capsys, tmp_path, titanic_csv):
+        args = ["learn", "--data", titanic_csv, "--count-column", "count",
+                "--algo", "hc", "--out", str(tmp_path / "m.json"), "--order"]
+        code, out, _ = run(capsys, *args, "Survived", "Class")
+        assert code == 0
+        assert json.loads(out)["order"] == ["Survived", "Class"]
+        code, _, err = run(capsys, *args, "Survived", "Deck")
+        assert code == 3
+        assert json.loads(err)["code"] == "unknown-variable"
+
+    def test_fix_last_unknown_variable(self, capsys, tmp_path):
+        csv = tmp_path / "d.csv"
+        csv.write_text("a,b,count\n0,0,30\n0,1,10\n1,0,10\n1,1,30\n")
+        code, _, err = run(capsys, "learn", "--data", str(csv), "--count-column", "count",
+                           "--enumerate-orders", "--fix-last", "c",
+                           "--out", str(tmp_path / "m.json"))
+        assert code == 3
+        assert json.loads(err)["code"] == "unknown-variable"
+
     def test_fix_last_requires_enumeration(self, capsys, tmp_path, titanic_csv):
         code, _, err = run(capsys, "learn", "--data", titanic_csv,
                            "--count-column", "count", "--fix-last", "Age",
@@ -349,3 +368,22 @@ class TestErrorChannels:
         assert code == 4
         assert json.loads(err)["code"] == "UnsupportedSizeError"
         assert peak < 8 * 2**20
+
+    def test_oversized_bhc_is_model_error(self, capsys, tmp_path):
+        # 16 binary variables: the deepest saturated level has 2**15 stages,
+        # and bhc's 2**15 x 2**15 candidate matrix would take 8 GiB
+        csv = tmp_path / "wide.csv"
+        names = [f"v{i}" for i in range(16)]
+        csv.write_text(",".join(names + ["count"]) + "\n"
+                       + ",".join(["0"] * 16 + ["3"]) + "\n"
+                       + ",".join(["1"] * 16 + ["2"]) + "\n")
+        tracemalloc.start()
+        try:
+            code, _, err = run(capsys, "learn", "--data", str(csv), "--count-column", "count",
+                               "--algo", "bhc", "--out", str(tmp_path / "m.json"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 4
+        assert json.loads(err)["code"] == "UnsupportedSizeError"
+        assert peak < 16 * 2**20  # the saturated start tree takes about 7 MiB

@@ -4,11 +4,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hs
 
 import stagetrees as st
 
-from conftest import random_space, random_staging
-from oracles import dag_edges_brute_force, edge_label_brute_force, d_separated_by_paths
+from conftest import draw_level, random_space, random_staging
+from oracles import (classify_level_by_tuples, dag_edges_brute_force, d_separated_by_paths,
+                     dependence_subtree_by_configurations, edge_label_brute_force)
 
 L = st.DependenceLabel
 
@@ -16,6 +18,13 @@ L = st.DependenceLabel
 def space_of(*sizes: int) -> st.SampleSpace:
     return st.SampleSpace(tuple(
         (f"x{i}", tuple(str(v) for v in range(k))) for i, k in enumerate(sizes)))
+
+
+def draw_tree(draw) -> st.StagedTree:
+    """Random, DAG or coarsened-DAG staging at every level, 2-4 levels per variable."""
+    sizes = draw.draw(hs.lists(hs.integers(2, 4), min_size=2, max_size=4))
+    return st.StagedTree(space_of(*sizes), tuple(
+        st.StageVector(d, draw_level(draw, sizes[:d])) for d in range(1, len(sizes))))
 
 
 class TestDagToStagedTree:
@@ -127,6 +136,21 @@ class TestStagedTreeToAldag:
         assert sum(ev.row_counts) > ev.total_distinct   # a symbol recurs across rows
         with pytest.raises(st.InvalidArgumentError):
             evidence.for_edge(0, 1) if (0, 1) not in evidence.edges else evidence.for_edge(9, 9)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(hs.data())
+    def test_evidence_matches_tuple_walk(self, draw):
+        tree = draw_tree(draw)
+        aldag, evidence = st.staged_tree_to_aldag(tree)
+        sizes = tree.space.level_counts
+        expected = {(j, i): fields for i in range(1, tree.p)
+                    for j, fields in classify_level_by_tuples(sizes, i, tree.symbols_at(i)).items()}
+        assert set(evidence.edges) == set(expected)
+        for (j, i), ev in evidence.edges.items():
+            assert ev.edge == (j, i)
+            assert (aldag.labels[(j, i)].value, ev.column_counts, ev.row_counts,
+                    ev.total_distinct, ev.context_witnesses,
+                    ev.partial_witnesses) == expected[(j, i)]
 
     def test_context_witness_names_the_context(self):
         space = space_of(2, 2, 2)
@@ -279,6 +303,33 @@ class TestDependenceSubtree:
         aldag = st.Aldag(dag, {(1, 2): L.TOTAL})
         with pytest.raises(st.InvalidArgumentError):
             st.dependence_subtree(tree, aldag, 2)
+
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(hs.data())
+    def test_matches_configuration_walk(self, draw):
+        tree = draw_tree(draw)
+        counts = draw.draw(hs.lists(hs.integers(0, 9), min_size=tree.space.n_cells,
+                                    max_size=tree.space.n_cells))
+        if draw.draw(hs.booleans()):
+            tree = st.fit(tree, st.Dataset(tree.space, np.array(counts, dtype=np.int64)))
+        target = draw.draw(hs.integers(0, tree.p - 1))
+        if draw.draw(hs.booleans()):
+            aldag, _ = st.staged_tree_to_aldag(tree)
+        else:
+            # any parent set, so that some of them leave out a variable the staging uses
+            parents = draw.draw(hs.sets(hs.integers(0, target - 1))) if target else set()
+            dag = st.Dag(tree.p, frozenset((j, target) for j in parents))
+            aldag = st.Aldag(dag, {e: L.TOTAL for e in dag.edges})
+        try:
+            expected = dependence_subtree_by_configurations(
+                tree, aldag.dag.parents(target), target)
+        except ValueError:
+            with pytest.raises(st.InvalidArgumentError):
+                st.dependence_subtree(tree, aldag, target)
+        else:
+            sub = st.dependence_subtree(tree, aldag, target)
+            assert sub == expected  # stagings and fitted distributions
 
 
 class TestRoundTripSampled:

@@ -46,34 +46,6 @@ class TestLexIndexing:
             st.lex_unindex(space, 6, 2)
 
 
-class TestReshape:
-    def test_columns_are_contiguous_slices(self):
-        mat = st.reshape_mat([1, 2, 3, 4, 5, 6], 2)
-        assert mat == ((1, 3, 5), (2, 4, 6))
-        columns = [[row[k] for row in mat] for k in range(3)]
-        assert columns == [[1, 2], [3, 4], [5, 6]]
-
-    def test_vec_transpose_stacks_rows(self):
-        mat = st.reshape_mat([1, 2, 3, 4, 5, 6], 2)
-        assert st.vec_transpose(mat) == (1, 3, 5, 2, 4, 6)
-
-    def test_round_trip_random(self):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            m = int(rng.integers(1, 5))
-            ncols = int(rng.integers(1, 6))
-            a = [int(v) for v in rng.integers(0, 9, size=m * ncols)]
-            mat = st.reshape_mat(a, m)
-            flat = [mat[u][k] for k in range(ncols) for u in range(m)]
-            assert flat == a
-            # transposing twice with swapped dimensions restores the list
-            assert list(st.vec_transpose(st.reshape_mat(st.vec_transpose(mat), ncols))) == a
-
-    def test_bad_row_count_rejected(self):
-        with pytest.raises(st.InvalidArgumentError):
-            st.reshape_mat([1, 2, 3], 2)
-
-
 class TestSampleSpace:
     def test_basic_accessors(self):
         space = space_of(2, 3, 2)
