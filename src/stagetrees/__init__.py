@@ -6,7 +6,6 @@ encodes (total, context, partial, context/partial, local), and extract
 per-variable dependence subtrees.
 """
 from .conversion import (
-    ClassificationEvidence,
     EdgeEvidence,
     classify_edge_oracle,
     d_separated,
@@ -23,7 +22,6 @@ from .core import (
     LABEL_ORDER,
     SampleSpace,
     StagedTree,
-    StageVector,
     UnfittedModelError,
     UnsupportedSizeError,
     canonical_symbols,
@@ -60,7 +58,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Aldag",
-    "ClassificationEvidence",
     "Dag",
     "DataError",
     "Dataset",
@@ -75,7 +72,6 @@ __all__ = [
     "SearchConfig",
     "SearchTrace",
     "StagedTree",
-    "StageVector",
     "TraceStep",
     "UnfittedModelError",
     "UnsupportedSizeError",

@@ -12,7 +12,7 @@ import sys
 
 from .conversion import d_separated, dag_to_staged_tree, dependence_subtree, staged_tree_to_aldag
 from .core import Dataset, InvalidArgumentError, LABEL_ORDER
-from .io import DataError, ModelDocument, load_dag, load_space, read_csv, write_dot
+from .io import DataError, ModelDocument, _csv_columns, load_dag, load_space, read_csv, write_dot
 from .learning import SearchConfig, default_start, enumerate_orders, learn_dag, refine_dag, _SEARCHES
 from .scoring import fit, score
 
@@ -142,13 +142,10 @@ def _cmd_subtree(args) -> int:
 def _cmd_score(args) -> int:
     doc = ModelDocument.load(args.model)
     space = doc.tree.space
-    try:
-        data = _read_data(args, order=space.names, levels=dict(space.variables))
-    except DataError as err:
-        # a file with none of the model's variables holds another sample space
-        if err.code != "unknown-variable" or set(space.names) & set(_read_data(args).space.names):
-            raise
-        raise InvalidArgumentError("tree and dataset use different sample spaces") from None
+    # a file with none of the model's variables holds another sample space
+    if set(space.names).isdisjoint(_csv_columns(args.data, header=not args.no_header)):
+        raise InvalidArgumentError("tree and dataset use different sample spaces")
+    data = _read_data(args, order=space.names, levels=dict(space.variables))
     report = score(doc.tree, data)
     _emit(_score_json(report))
     return 0
@@ -161,7 +158,7 @@ def _cmd_convert(args) -> int:
         raise InvalidArgumentError("DAG and space disagree on variable names")
     tree = dag_to_staged_tree(dag, space)
     ModelDocument(tree).save(args.out)
-    _emit({"stages_per_level": [len(set(sv.symbols)) for sv in tree.stage_vectors]})
+    _emit({"stages_per_level": [tree.stage_count(d) for d in range(1, tree.p)]})
     return 0
 
 

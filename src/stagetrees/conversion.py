@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Hashable, Mapping, Sequence
+from typing import Hashable, Sequence
 
 import numpy as np
 
@@ -23,14 +23,12 @@ from .core import (
     InvalidArgumentError,
     SampleSpace,
     StagedTree,
-    StageVector,
     canonical_symbols,
     lex_index,
 )
 
 __all__ = [
     "EdgeEvidence",
-    "ClassificationEvidence",
     "dag_to_staged_tree",
     "staged_tree_to_aldag",
     "classify_edge_oracle",
@@ -61,22 +59,6 @@ class EdgeEvidence:
     partial_witnesses: tuple[tuple[Context, tuple[int, ...]], ...]
 
 
-@dataclass(frozen=True)
-class ClassificationEvidence:
-    """Per-edge classification evidence from one tree-to-ALDAG conversion."""
-
-    edges: Mapping[tuple[int, int], EdgeEvidence]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "edges", dict(self.edges))
-
-    def for_edge(self, j: int, i: int) -> EdgeEvidence:
-        try:
-            return self.edges[(j, i)]
-        except KeyError:
-            raise InvalidArgumentError(f"no evidence for edge ({j}, {i})") from None
-
-
 def dag_to_staged_tree(dag: Dag, space: SampleSpace) -> StagedTree:
     """Staged tree with the same model as the DAG.
 
@@ -86,9 +68,8 @@ def dag_to_staged_tree(dag: Dag, space: SampleSpace) -> StagedTree:
     if dag.p != space.p:
         raise InvalidArgumentError("DAG and sample space disagree on p")
     sizes = space.level_counts
-    return StagedTree(space, tuple(
-        StageVector(d, tuple(_parent_stage_ids(sizes[:d], dag.parents(d)).tolist()))
-        for d in range(1, space.p)))
+    return StagedTree(space, tuple(_parent_stage_ids(sizes[:d], dag.parents(d)).tolist()
+                                   for d in range(1, space.p)))
 
 
 def _parent_stage_ids(sizes: Sequence[int], parents) -> np.ndarray:
@@ -193,8 +174,13 @@ def _classify_level(space: SampleSpace, depth: int, symbols: Sequence[int]):
     return labels, evidence
 
 
-def staged_tree_to_aldag(tree: StagedTree) -> tuple[Aldag, ClassificationEvidence]:
-    """Minimal DAG containing the tree's model, with dependence labels."""
+def staged_tree_to_aldag(
+        tree: StagedTree) -> tuple[Aldag, dict[tuple[int, int], EdgeEvidence]]:
+    """Minimal DAG containing the tree's model, with dependence labels.
+
+    Also returns the classification evidence of every retained edge, keyed
+    by the edge (j, i).
+    """
     labels: dict[tuple[int, int], DependenceLabel] = {}
     evidence: dict[tuple[int, int], EdgeEvidence] = {}
     for depth in range(1, tree.p):
@@ -204,7 +190,7 @@ def staged_tree_to_aldag(tree: StagedTree) -> tuple[Aldag, ClassificationEvidenc
             labels[(j, depth)] = label
             evidence[(j, depth)] = level_evidence[j]
     dag = Dag(tree.p, frozenset(labels))
-    return Aldag(dag, labels), ClassificationEvidence(evidence)
+    return Aldag(dag, labels), evidence
 
 
 def classify_edge_oracle(tree: StagedTree, j: int, i: int) -> DependenceLabel:
@@ -341,10 +327,9 @@ def dependence_subtree(tree: StagedTree, aldag: Aldag, target: int) -> StagedTre
                             + (space.variables[target],))
     q = len(parents)
     last = tuple(at_zero.ravel().tolist())
-    vectors = [StageVector(d, tuple(range(sub_space.prefix_cells(d))))
-               for d in range(1, q)]
+    vectors = [tuple(range(sub_space.prefix_cells(d))) for d in range(1, q)]
     if q:
-        vectors.append(StageVector(q, last))
+        vectors.append(last)
     fitted = None
     if tree.fitted is not None and tree.fitted[target] is not None:
         # keyed by the source symbols; the root (q = 0) is symbol 0

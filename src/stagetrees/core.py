@@ -1,10 +1,11 @@
 """Core types for staged tree models over finite categorical sample spaces.
 
 A staged tree over variables X_1, ..., X_p is stored as one stage vector per
-depth 1..p-1: the list of stage symbols of all depth-i vertices, indexed
-lexicographically over the value combinations of the first i variables with
-the *last* coordinate varying fastest.  The root (depth 0) is always a single
-implicit stage and is never stored; where a symbol for it is needed (fitted
+depth 1..p-1: a plain sequence of the stage symbols of all depth-i vertices,
+indexed lexicographically over the value combinations of the first i
+variables with the *last* coordinate varying fastest.  A vector's position
+in the tree is its depth.  The root (depth 0) is always a single implicit
+stage and is never stored; where a symbol for it is needed (fitted
 distributions) it is the integer 0.
 
 A staging is a partition of each level's vertices, so stage labels carry no
@@ -27,7 +28,6 @@ __all__ = [
     "UnfittedModelError",
     "UnsupportedSizeError",
     "SampleSpace",
-    "StageVector",
     "StagedTree",
     "Dag",
     "DependenceLabel",
@@ -177,22 +177,6 @@ def canonical_symbols(symbols: Iterable[Hashable]) -> tuple[int, ...]:
 # staged trees
 
 
-@dataclass(frozen=True)
-class StageVector:
-    """Stage symbols of all depth-`level` vertices in lexicographic order."""
-
-    level: int
-    symbols: tuple[Hashable, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "symbols", tuple(self.symbols))
-        if self.level < 1:
-            raise InvalidArgumentError("stage vectors exist for depths 1..p-1 only")
-
-    def stage_count(self) -> int:
-        return len(set(self.symbols))
-
-
 # fitted: one entry per depth 0..p-1; entry d maps each stage symbol at depth d
 # (the root is symbol 0) to a distribution over variable d's levels
 Fitted = tuple  # tuple[Mapping[Hashable, tuple[float, ...]] | None, ...]
@@ -205,10 +189,12 @@ class StagedTree:
     Parameters
     ----------
     space : SampleSpace
-    stage_vectors : sequence of StageVector
-        One per depth 1..p-1, in order.  The depth-d stages determine the
-        conditional distribution of variable d given the first d variables.
-        Symbols may be any hashable labels; the tree stores canonical ids.
+    stage_vectors : sequence of label sequences
+        One plain sequence of stage labels per depth 1..p-1, in order (the
+        position is the depth).  The depth-d stages determine the conditional
+        distribution of variable d given the first d variables.  Labels may
+        be any hashable values; the tree stores a tuple of canonical ids per
+        depth.
     fitted : optional
         Per-depth mapping stage symbol -> probability vector over variable
         d's levels, keyed by the labels passed in `stage_vectors` and stored
@@ -217,23 +203,20 @@ class StagedTree:
     """
 
     space: SampleSpace
-    stage_vectors: tuple[StageVector, ...]
+    stage_vectors: tuple[tuple[int, ...], ...]
     fitted: Fitted | None = None
 
     def __post_init__(self) -> None:
-        vectors = tuple(self.stage_vectors)
+        vectors = tuple(tuple(v) for v in self.stage_vectors)
         if len(vectors) != self.space.p - 1:
             raise InvalidArgumentError(
                 f"expected {self.space.p - 1} stage vectors, got {len(vectors)}")
-        for d, sv in enumerate(vectors, start=1):
-            if sv.level != d:
-                raise InvalidArgumentError(f"stage vector at position {d} has level {sv.level}")
+        for d, symbols in enumerate(vectors, start=1):
             want = self.space.prefix_cells(d)
-            if len(sv.symbols) != want:
+            if len(symbols) != want:
                 raise InvalidArgumentError(
-                    f"depth {d} stage vector has length {len(sv.symbols)}, expected {want}")
-        canonical = tuple(StageVector(sv.level, canonical_symbols(sv.symbols))
-                          for sv in vectors)
+                    f"depth {d} stage vector has length {len(symbols)}, expected {want}")
+        canonical = tuple(canonical_symbols(symbols) for symbols in vectors)
         object.__setattr__(self, "stage_vectors", canonical)
         if self.fitted is not None:
             entries = tuple(self.fitted)
@@ -245,8 +228,7 @@ class StagedTree:
                     fitted.append(None)
                     continue
                 # the caller's labels -> canonical ids; the root is always 0
-                relabel = ({0: 0} if d == 0 else
-                           dict(zip(vectors[d - 1].symbols, canonical[d - 1].symbols)))
+                relabel = {0: 0} if d == 0 else dict(zip(vectors[d - 1], canonical[d - 1]))
                 if set(entry) != set(relabel):
                     raise InvalidArgumentError(f"fitted stages at depth {d} do not match the staging")
                 k = self.space.level_counts[d]
@@ -270,16 +252,13 @@ class StagedTree:
     @classmethod
     def saturated(cls, space: SampleSpace) -> "StagedTree":
         """Every vertex its own stage (no independence claims)."""
-        return cls(space, tuple(
-            StageVector(d, tuple(range(space.prefix_cells(d))))
-            for d in range(1, space.p)))
+        return cls(space, tuple(tuple(range(space.prefix_cells(d)))
+                                for d in range(1, space.p)))
 
     @classmethod
     def one_stage(cls, space: SampleSpace) -> "StagedTree":
         """One stage per level: the full independence model."""
-        return cls(space, tuple(
-            StageVector(d, (0,) * space.prefix_cells(d))
-            for d in range(1, space.p)))
+        return cls(space, tuple((0,) * space.prefix_cells(d) for d in range(1, space.p)))
 
     # -- access ------------------------------------------------------------
 
@@ -287,14 +266,15 @@ class StagedTree:
     def p(self) -> int:
         return self.space.p
 
-    def symbols_at(self, depth: int) -> tuple[Hashable, ...]:
+    def symbols_at(self, depth: int) -> tuple[int, ...]:
         """Stage symbols at a depth; depth 0 is the implicit root stage (0,)."""
         if depth == 0:
             return (0,)
-        return self.stage_vectors[depth - 1].symbols
+        return self.stage_vectors[depth - 1]
 
     def stage_count(self, depth: int) -> int:
-        return len(set(self.symbols_at(depth)))
+        """Number of stages at a depth: the canonical ids are 0..count-1."""
+        return max(self.symbols_at(depth)) + 1
 
     def distributions_at(self, depth: int) -> Mapping[Hashable, tuple[float, ...]]:
         if self.fitted is None or self.fitted[depth] is None:
@@ -307,8 +287,10 @@ class StagedTree:
 
     def replace_level(self, depth: int, symbols: Sequence[Hashable]) -> "StagedTree":
         """Copy with one stage vector replaced; fitted distributions are dropped."""
+        if not 1 <= depth < self.p:
+            raise InvalidArgumentError(f"stage vectors exist for depths 1..{self.p - 1} only")
         vectors = list(self.stage_vectors)
-        vectors[depth - 1] = StageVector(depth, tuple(symbols))
+        vectors[depth - 1] = symbols
         return StagedTree(self.space, tuple(vectors))
 
 

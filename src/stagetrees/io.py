@@ -22,7 +22,6 @@ from .core import (
     InvalidArgumentError,
     SampleSpace,
     StagedTree,
-    StageVector,
 )
 from .learning import SearchTrace, TraceStep
 from .scoring import ScoreReport
@@ -80,6 +79,26 @@ def _parse_count(text: str, line: int) -> int:
     return value
 
 
+def _column_names(reader, header: bool, path) -> tuple[list[str], list[str]]:
+    """The first non-empty row and the column names it gives."""
+    first = next((row for row in reader if row), None)
+    if first is None:
+        raise DataError("empty", f"{path} contains no rows")
+    names = [c.strip() for c in first] if header else [f"v{i}" for i in range(len(first))]
+    if len(set(names)) != len(names):
+        raise DataError("unknown-variable", f"duplicate column names in {path}")
+    return first, names
+
+
+def _csv_columns(path, header: bool = True) -> list[str]:
+    """Column names of a CSV file, read from its first row alone."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return _column_names(csv.reader(fh), header, path)[1]
+    except (OSError, UnicodeDecodeError, csv.Error) as err:
+        raise DataError("unreadable", f"cannot read {path}: {err}") from None
+
+
 def read_csv(path, header: bool = True, order=None, na_policy: str = "drop-row",
              levels=None, count_column: str | None = None) -> Dataset:
     """Read categorical observations (or weighted configurations) into counts.
@@ -92,8 +111,9 @@ def read_csv(path, header: bool = True, order=None, na_policy: str = "drop-row",
     path : file path.
     header : first row holds column names; otherwise columns are named
         v0, v1, ...
-    order : optional sequence of column names selecting the variables and
-        their order; defaults to all non-count columns in file order.
+    order : optional sequence of distinct column names selecting the
+        variables and their order; defaults to all non-count columns in file
+        order.
     na_policy : "drop-row" silently removes rows containing a missing token
         (one of NA_TOKENS); "error" raises instead.
     levels : optional mapping of column name to its ordered level names;
@@ -110,12 +130,7 @@ def read_csv(path, header: bool = True, order=None, na_policy: str = "drop-row",
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            first = next((row for row in reader if row), None)
-            if first is None:
-                raise DataError("empty", f"{path} contains no rows")
-            names = [c.strip() for c in first] if header else [f"v{i}" for i in range(len(first))]
-            if len(set(names)) != len(names):
-                raise DataError("unknown-variable", f"duplicate column names in {path}")
+            first, names = _column_names(reader, header, path)
             column = {name: i for i, name in enumerate(names)}
             if count_column is not None and count_column not in column:
                 raise DataError("unknown-variable", f"count column {count_column!r} not in {names}")
@@ -123,6 +138,8 @@ def read_csv(path, header: bool = True, order=None, na_policy: str = "drop-row",
                 selected = [n for n in names if n != count_column]
             else:
                 selected = list(order)
+                if len(set(selected)) != len(selected):
+                    raise DataError("unknown-variable", f"repeated names in order {selected}")
                 for name in selected:
                     if name not in column:
                         raise DataError("unknown-variable", f"column {name!r} not in {names}")
@@ -276,7 +293,7 @@ class ModelDocument:
         doc: dict = {
             "format_version": FORMAT_VERSION,
             "variables": _space_json(tree.space),
-            "stage_vectors": [list(sv.symbols) for sv in tree.stage_vectors],
+            "stage_vectors": [list(symbols) for symbols in tree.stage_vectors],
         }
         if tree.fitted is None:
             doc["fitted"] = None
@@ -330,8 +347,7 @@ class ModelDocument:
     def _from_document(cls, doc: dict) -> "ModelDocument":
         try:
             space = _space_from_json(doc["variables"])
-            vectors = tuple(StageVector(d, tuple(int(s) for s in symbols))
-                            for d, symbols in enumerate(doc["stage_vectors"], start=1))
+            vectors = [[int(s) for s in symbols] for symbols in doc["stage_vectors"]]
             fitted = None
             if doc.get("fitted") is not None:
                 entries = []
@@ -431,13 +447,8 @@ def _aldag_dot(aldag: Aldag, names) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _tree_dot(tree: StagedTree, names) -> str:
+def _tree_dot(tree: StagedTree) -> str:
     space = tree.space
-    if names is None:
-        names = list(space.names)
-    names = list(names)
-    if len(names) != space.p:
-        raise InvalidArgumentError("wrong number of variable names")
     lines = ["digraph staged_tree {", "  rankdir=LR;",
              "  node [shape=circle style=filled fixedsize=true width=0.45];"]
     for d in range(space.p):
@@ -464,12 +475,16 @@ def write_dot(obj, path, names=None) -> None:
     Edge colors for labeled DAGs: total black, context red, partial blue,
     context/partial violet, local green.  Tree vertices are filled by stage
     (palette reused cyclically) and labeled with their stage id; leaf
-    vertices are omitted.
+    vertices are omitted.  `names` labels the variables of a labeled DAG
+    (default x1, x2, ...); a tree drawing shows no variable names, so passing
+    them with a tree is an error.
     """
     if isinstance(obj, Aldag):
         text = _aldag_dot(obj, names)
     elif isinstance(obj, StagedTree):
-        text = _tree_dot(obj, names)
+        if names is not None:
+            raise InvalidArgumentError("a staged tree drawing takes no variable names")
+        text = _tree_dot(obj)
     else:
         raise InvalidArgumentError(f"cannot render {type(obj).__name__} as DOT")
     _atomic_write(path, text)

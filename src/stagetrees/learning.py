@@ -28,7 +28,6 @@ from .core import (
     InvalidArgumentError,
     SampleSpace,
     StagedTree,
-    StageVector,
     UnsupportedSizeError,
 )
 from .scoring import FitConfig, _loglik, _stage_counts, score
@@ -293,7 +292,7 @@ def _run_search(candidates, start: StagedTree, data: Dataset, cfg: SearchConfig)
             steps.append(TraceStep(depth, kind, stages, current, current + delta))
             current += delta
             accepted += 1
-        vectors[depth - 1] = StageVector(depth, assign.tolist())
+        vectors[depth - 1] = assign.tolist()
     return StagedTree(start.space, tuple(vectors)), SearchTrace(tuple(steps))
 
 

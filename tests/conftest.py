@@ -51,9 +51,9 @@ def titanic_generic_tree(titanic) -> st.StagedTree:
     survival patterns; level 3 pools most age distributions.
     """
     return st.StagedTree(titanic.space, (
-        st.StageVector(1, (0, 0, 1, 2)),
-        st.StageVector(2, (0, 1, 2, 3, 2, 0, 4, 3)),
-        st.StageVector(3, (0, 1, 0, 0, 0, 2, 0, 3, 1, 3, 4, 4, 0, 0, 0, 0)),
+        (0, 0, 1, 2),
+        (0, 1, 2, 3, 2, 0, 4, 3),
+        (0, 1, 0, 0, 0, 2, 0, 3, 1, 3, 4, 4, 0, 0, 0, 0),
     ))
 
 
@@ -65,9 +65,9 @@ def titanic_context_tree(titanic) -> st.StagedTree:
     labeled DAG uses only context/partial classes.
     """
     return st.StagedTree(titanic.space, (
-        st.StageVector(1, (0, 0, 1, 2)),
-        st.StageVector(2, tuple(range(8))),
-        st.StageVector(3, (0, 0, 1, 0, 2, 3, 1, 1, 1, 1, 1, 1, 4, 4, 1, 4)),
+        (0, 0, 1, 2),
+        tuple(range(8)),
+        (0, 0, 1, 0, 2, 3, 1, 1, 1, 1, 1, 1, 4, 4, 1, 4),
     ))
 
 
@@ -98,7 +98,7 @@ def random_staging(rng: np.random.Generator, space: st.SampleSpace) -> st.Staged
         cells = space.prefix_cells(d)
         n_stages = int(rng.integers(1, cells + 1))
         symbols = rng.integers(0, n_stages, size=cells)
-        vectors.append(st.StageVector(d, tuple(int(s) for s in symbols)))
+        vectors.append(tuple(int(s) for s in symbols))
     return st.StagedTree(space, tuple(vectors))
 
 

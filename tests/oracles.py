@@ -333,7 +333,7 @@ def dependence_subtree_by_configurations(tree, parents, target: int):
     lexicographic order; the target's fitted distributions, if any, are
     carried over.
     """
-    from stagetrees.core import SampleSpace, StagedTree, StageVector
+    from stagetrees.core import SampleSpace, StagedTree
 
     space = tree.space
     sizes = space.level_counts
@@ -349,10 +349,9 @@ def dependence_subtree_by_configurations(tree, parents, target: int):
     q = len(parents)
     last = tuple(stage_of[key] for key in
                  itertools.product(*(range(sizes[ax]) for ax in parents)))
-    vectors = [StageVector(d, tuple(range(math.prod(sizes[ax] for ax in parents[:d]))))
-               for d in range(1, q)]
+    vectors = [tuple(range(math.prod(sizes[ax] for ax in parents[:d]))) for d in range(1, q)]
     if q:
-        vectors.append(StageVector(q, last))
+        vectors.append(last)
     fitted = None
     if tree.fitted is not None and tree.fitted[target] is not None:
         source = tree.fitted[target]

@@ -193,6 +193,13 @@ class TestLearn:
         assert code == 3
         assert json.loads(err)["code"] == "unknown-variable"
 
+    def test_repeated_order_name(self, capsys, tmp_path, titanic_csv):
+        code, _, err = run(capsys, "learn", "--data", titanic_csv, "--count-column", "count",
+                           "--order", "Class", "Class", "Age",
+                           "--out", str(tmp_path / "m.json"))
+        assert code == 3
+        assert json.loads(err)["code"] == "unknown-variable"
+
     def test_fix_last_unknown_variable(self, capsys, tmp_path):
         csv = tmp_path / "d.csv"
         csv.write_text("a,b,count\n0,0,30\n0,1,10\n1,0,10\n1,1,30\n")
@@ -348,6 +355,21 @@ class TestErrorChannels:
         csv.write_text("a,b\n0,0\n1,1\n")
         code, _, err = run(capsys, "score", "--model", str(model),
                            "--data", str(csv))
+        assert code == 4
+        assert json.loads(err)["kind"] == "model"
+
+    @pytest.mark.parametrize("body,flags", [
+        ("a,b\n1,x\n1,y\n", ()),
+        ("Class,Gender,Survived,Age\n1st,Male,No,Child\n", ("--no-header",)),
+    ], ids=["degenerate-column", "no-header"])
+    def test_space_mismatch_decided_by_header(self, capsys, tmp_path, fig1_files, body, flags):
+        # the file's columns alone decide; its other faults do not matter
+        model = tmp_path / "model.json"
+        run(capsys, "convert", "--dag", fig1_files[0], "--space", fig1_files[1],
+            "--out", str(model))
+        csv = tmp_path / "other.csv"
+        csv.write_text(body)
+        code, _, err = run(capsys, "score", "--model", str(model), "--data", str(csv), *flags)
         assert code == 4
         assert json.loads(err)["kind"] == "model"
 

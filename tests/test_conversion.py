@@ -24,7 +24,7 @@ def draw_tree(draw) -> st.StagedTree:
     """Random, DAG or coarsened-DAG staging at every level, 2-4 levels per variable."""
     sizes = draw.draw(hs.lists(hs.integers(2, 4), min_size=2, max_size=4))
     return st.StagedTree(space_of(*sizes), tuple(
-        st.StageVector(d, draw_level(draw, sizes[:d])) for d in range(1, len(sizes))))
+        draw_level(draw, sizes[:d]) for d in range(1, len(sizes))))
 
 
 class TestDagToStagedTree:
@@ -76,7 +76,7 @@ class TestStagedTreeToAldag:
         aldag, evidence = st.staged_tree_to_aldag(st.StagedTree.one_stage(space))
         assert aldag.dag.edges == frozenset()
         assert aldag.labels == {}
-        assert evidence.edges == {}
+        assert evidence == {}
 
     def test_bn_tree_round_trips_with_all_total(self, titanic_dag, titanic_bn_tree):
         aldag, _ = st.staged_tree_to_aldag(titanic_bn_tree)
@@ -124,7 +124,7 @@ class TestStagedTreeToAldag:
 
     def test_evidence_records_matrix_profile(self, titanic_generic_tree):
         _, evidence = st.staged_tree_to_aldag(titanic_generic_tree)
-        ev = evidence.for_edge(1, 2)
+        ev = evidence[(1, 2)]
         assert ev.edge == (1, 2)
         # Gender has two levels, so the matrix has 2 rows and 4 context columns
         assert len(ev.column_counts) == 4
@@ -134,8 +134,8 @@ class TestStagedTreeToAldag:
         assert ev.context_witnesses == ()
         assert ev.partial_witnesses == ()
         assert sum(ev.row_counts) > ev.total_distinct   # a symbol recurs across rows
-        with pytest.raises(st.InvalidArgumentError):
-            evidence.for_edge(0, 1) if (0, 1) not in evidence.edges else evidence.for_edge(9, 9)
+        with pytest.raises(KeyError):
+            evidence[(0, 1)] if (0, 1) not in evidence else evidence[(9, 9)]
 
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(hs.data())
@@ -145,8 +145,8 @@ class TestStagedTreeToAldag:
         sizes = tree.space.level_counts
         expected = {(j, i): fields for i in range(1, tree.p)
                     for j, fields in classify_level_by_tuples(sizes, i, tree.symbols_at(i)).items()}
-        assert set(evidence.edges) == set(expected)
-        for (j, i), ev in evidence.edges.items():
+        assert set(evidence) == set(expected)
+        for (j, i), ev in evidence.items():
             assert ev.edge == (j, i)
             assert (aldag.labels[(j, i)].value, ev.column_counts, ev.row_counts,
                     ev.total_distinct, ev.context_witnesses,
@@ -156,7 +156,7 @@ class TestStagedTreeToAldag:
         space = space_of(2, 2, 2)
         tree = st.StagedTree.saturated(space).replace_level(2, (0, 0, 1, 2))
         _, evidence = st.staged_tree_to_aldag(tree)
-        ev = evidence.for_edge(1, 2)
+        ev = evidence[(1, 2)]
         assert ev.context_witnesses == (((0, 0),),)   # the column x0 = 0
 
 

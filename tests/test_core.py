@@ -94,11 +94,11 @@ class TestStagedTree:
     def test_wrong_vector_length_rejected(self):
         space = space_of(2, 2)
         with pytest.raises(st.InvalidArgumentError):
-            st.StagedTree(space, (st.StageVector(1, (0, 0, 0)),))
+            st.StagedTree(space, ((0, 0, 0),))
 
     def test_canonical_relabels_first_occurrence(self):
         space = space_of(2, 2)
-        tree = st.StagedTree(space, (st.StageVector(1, ("b", "a")),))
+        tree = st.StagedTree(space, (("b", "a"),))
         assert tree.symbols_at(1) == (0, 1)
         assert tree == st.StagedTree.saturated(space)
 
@@ -109,7 +109,7 @@ class TestStagedTree:
         space = space_of(*sizes)
         labels = hs.one_of(hs.integers(-5, 50), hs.text(max_size=2),
                            hs.tuples(hs.integers(0, 2), hs.text(max_size=1)))
-        raw, ids = [], []
+        raw, ids, numbers = [], [], []
         for d in range(1, space.p):
             cells = space.prefix_cells(d)
             stages = draw.draw(hs.lists(hs.integers(0, cells - 1), min_size=cells,
@@ -118,12 +118,17 @@ class TestStagedTree:
             image = draw.draw(hs.lists(labels, min_size=cells, max_size=cells, unique=True))
             raw.append([image[s] for s in stages])
             ids.append([sorted(set(stages), key=stages.index).index(s) for s in stages])
-        canonical = st.StagedTree(space, tuple(
-            st.StageVector(d, tuple(v)) for d, v in enumerate(ids, start=1)))
-        raw_vectors = tuple(st.StageVector(d, tuple(v)) for d, v in enumerate(raw, start=1))
+            numbers.append(np.array(stages))
+        canonical = st.StagedTree(space, tuple(tuple(v) for v in ids))
+        raw_vectors = tuple(tuple(v) for v in raw)
         relabeled = st.StagedTree(space, raw_vectors)
         assert relabeled == canonical
+        # plain lists and numpy int arrays are label sequences too
+        assert st.StagedTree(space, raw) == canonical
+        assert st.StagedTree(space, numbers) == canonical
         assert [relabeled.symbols_at(d) for d in range(1, space.p)] == [tuple(v) for v in ids]
+        assert [relabeled.stage_count(d) for d in range(1, space.p)] == [
+            len(set(v)) for v in raw]
 
         counts = draw.draw(hs.lists(hs.integers(0, 20), min_size=space.n_cells,
                                     max_size=space.n_cells))
@@ -145,7 +150,7 @@ class TestStagedTree:
 
     def test_fitted_keys_must_match_the_labels_passed(self):
         space = space_of(2, 2)
-        vectors = (st.StageVector(1, ("b", "a")),)
+        vectors = (("b", "a"),)
         root = {0: (0.5, 0.5)}
         tree = st.StagedTree(space, vectors, fitted=(root, {"a": (0.3, 0.7), "b": (1.0, 0.0)}))
         assert tree.distributions_at(1) == {0: (1.0, 0.0), 1: (0.3, 0.7)}
@@ -162,9 +167,15 @@ class TestStagedTree:
         replaced = fitted.replace_level(1, (0, 0, 0, 0))
         assert replaced.fitted is None
 
+    def test_replace_level_depth_checked(self):
+        tree = st.StagedTree.saturated(space_of(2, 2, 2))
+        for depth in (-1, 0, 3):
+            with pytest.raises(st.InvalidArgumentError):
+                tree.replace_level(depth, (0, 0, 0, 0))
+
     def test_fitted_validation(self):
         space = space_of(2, 2)
-        vectors = (st.StageVector(1, (0, 0)),)
+        vectors = ((0, 0),)
         with pytest.raises(st.InvalidArgumentError):
             st.StagedTree(space, vectors, fitted=({0: (0.7, 0.2)}, {0: (0.5, 0.5)}))
         tree = st.StagedTree(space, vectors,

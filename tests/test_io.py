@@ -90,6 +90,13 @@ class TestReadCsv:
             st.read_csv(f, order=("a", "nope"))
         assert err.value.code == "unknown-variable"
 
+    def test_repeated_order_column(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_text("a,b\nx,0\ny,1\n")
+        with pytest.raises(st.DataError) as err:
+            st.read_csv(f, order=("a", "b", "a"))
+        assert err.value.code == "unknown-variable"
+
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(st.DataError) as err:
             st.read_csv(tmp_path / "missing.csv")
@@ -237,7 +244,7 @@ class TestModelDocument:
 
     def test_construction_canonicalizes(self):
         space = space_of(2, 2)
-        doc = st.ModelDocument(st.StagedTree(space, (st.StageVector(1, ("q", "p")),)))
+        doc = st.ModelDocument(st.StagedTree(space, (("q", "p"),)))
         assert doc.tree.symbols_at(1) == (0, 1)
 
     def test_partially_fitted_round_trip(self, tmp_path, titanic, titanic_generic_tree):
@@ -346,6 +353,17 @@ class TestWriteDot:
         nodes, edges = parse_dot(path.read_text())
         assert nodes == 1 + 4 + 8 + 16
         assert edges == 4 + 8 + 16
+
+    def test_tree_takes_no_names(self, tmp_path, titanic_generic_tree):
+        # a tree drawing shows stage ids and levels, never variable names
+        path = tmp_path / "t.dot"
+        st.write_dot(titanic_generic_tree, path)
+        text = path.read_text()
+        assert not any(f'"{name}"' in text for name in titanic_generic_tree.space.names)
+        named = tmp_path / "named.dot"
+        with pytest.raises(st.InvalidArgumentError):
+            st.write_dot(titanic_generic_tree, named, names=titanic_generic_tree.space.names)
+        assert not named.exists()
 
     def test_unknown_object_rejected(self, tmp_path):
         with pytest.raises(st.InvalidArgumentError):
