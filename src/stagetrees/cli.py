@@ -177,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fix-last", default=None,
                    help="with --enumerate-orders, pin this variable last")
     p.add_argument("--enumerate-orders", action="store_true",
-                   help="search every variable order (p <= 8)")
+                   help="search for the best variable order")
     p.add_argument("--out", required=True, help="model document to write")
     p.set_defaults(func=_cmd_learn)
 

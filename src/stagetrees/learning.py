@@ -9,10 +9,18 @@ if its delta is below -1e-9.  Deltas that are equal in exact arithmetic
 (say, joins of stages with proportional counts) differ by float noise far
 below the tolerance, so they tie.  Each level runs to its local fixpoint;
 scores decompose over levels, so that is a fixpoint of the model.
+
+`enumerate_orders` uses the same decomposition across orders: it runs one
+level search per (predecessor set, variable), on the level table with the
+predecessors in index order, and combines the terms by dynamic programming.
+A level search sees its vertices in that layout, and the tie rule and the
+greedy path can depend on it; a whole search of one order lays a level out
+in that order's prefix instead.  So the DP finds the order that full
+enumeration of whole searches finds whenever a level search's result does
+not depend on the vertex layout.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -255,43 +263,58 @@ def _parent_toggles(table, sizes, penalty, assign, ids, counts, loglik, sink=Non
     return deltas, move
 
 
-def _run_search(candidates, start: StagedTree, data: Dataset, cfg: SearchConfig):
-    """Greedy per-level search; `candidates` scores one level's moves as an array.
+def _search_level(candidates, table, sizes, penalty, assign, max_iter):
+    """Greedy search of one level; returns the final assignment and the moves taken.
 
-    It is called with the level table, the level counts of the preceding
-    variables, the score cost of one more stage, the stage id of every vertex,
-    the sorted stage ids with their S x K count matrix and log-likelihoods; it
-    returns the deltas, laid out in tie order, and a function that turns the
-    picked index into (kind, stages, vertices to relabel, their new id or ids).
+    `candidates` is called with the level table, the level counts of the
+    preceding variables, the score cost of one more stage, the stage id of
+    every vertex, the sorted stage ids with their S x K count matrix and
+    log-likelihoods; it returns the deltas, laid out in tie order, and a
+    function that turns the picked index into (kind, stages, vertices to
+    relabel, their new id or ids).  `assign` is updated in place; each move
+    is returned as (kind, stages, score delta), at most `max_iter` of them.
+    """
+    moves = []
+    while max_iter is None or len(moves) < max_iter:
+        ids, stage_of = np.unique(assign, return_inverse=True)
+        counts = _stage_counts(table, stage_of, len(ids))
+        deltas, move = candidates(table, sizes, penalty, assign, ids, counts, _loglik(counts))
+        best = _pick(deltas)
+        if best is None:
+            break
+        kind, stages, rows, dest = move(best)
+        assign[rows] = dest
+        moves.append((kind, stages, float(deltas.flat[best])))
+    return assign, moves
+
+
+def _stage_cost(data: Dataset, cfg: SearchConfig) -> float:
+    """Score cost of one free parameter: score = -2 logL + df * cost."""
+    if data.n < 1:
+        raise InvalidArgumentError("cannot search on an empty dataset")
+    return math.log(data.n) if cfg.score == "bic" else 2.0
+
+
+def _run_search(candidates, start: StagedTree, data: Dataset, cfg: SearchConfig):
+    """Greedy per-level search from `start`; `candidates` scores one level's moves.
+
+    Each level in scope runs `_search_level` to its fixpoint or `max_iter`;
+    the trace records every accepted move with the running score.
     """
     if start.space != data.space:
         raise InvalidArgumentError("start tree and dataset use different sample spaces")
-    if data.n < 1:
-        raise InvalidArgumentError("cannot search on an empty dataset")
-    unit = math.log(data.n) if cfg.score == "bic" else 2.0  # score = -2 logL + df * unit
+    unit = _stage_cost(data, cfg)
     current = _initial_score(start, data, cfg)
     steps: list[TraceStep] = []
     sizes = start.space.level_counts
     vectors = list(start.stage_vectors)
     for depth in _levels_to_search(start.p, cfg):
-        table = data.level_table(depth)
-        penalty = (sizes[depth] - 1) * unit
-        assign = np.array(start.symbols_at(depth))
-        accepted = 0
-        while cfg.max_iter is None or accepted < cfg.max_iter:
-            ids, stage_of = np.unique(assign, return_inverse=True)
-            counts = _stage_counts(table, stage_of, len(ids))
-            deltas, move = candidates(table, sizes[:depth], penalty, assign, ids, counts,
-                                      _loglik(counts))
-            best = _pick(deltas)
-            if best is None:
-                break
-            kind, stages, rows, dest = move(best)
-            assign[rows] = dest
-            delta = float(deltas.flat[best])
+        assign, moves = _search_level(candidates, data.level_table(depth), sizes[:depth],
+                                      (sizes[depth] - 1) * unit,
+                                      np.array(start.symbols_at(depth)), cfg.max_iter)
+        for kind, stages, delta in moves:
             steps.append(TraceStep(depth, kind, stages, current, current + delta))
             current += delta
-            accepted += 1
         vectors[depth - 1] = assign.tolist()
     return StagedTree(start.space, tuple(vectors)), SearchTrace(tuple(steps))
 
@@ -341,6 +364,7 @@ def default_start(algo: str, space: SampleSpace) -> StagedTree:
 
 
 _SEARCHES = {"bhc": bhc, "hc": hc, "csbhc": csbhc}
+_MOVES = {"bhc": _pair_joins, "hc": _vertex_moves, "csbhc": _column_joins}
 
 
 def refine_dag(dag: Dag, data: Dataset, algo: str = "bhc",
@@ -381,17 +405,27 @@ def learn_dag(data: Dataset, cfg: SearchConfig = SearchConfig(),
 
 def enumerate_orders(data: Dataset, fixed_last: int | str | None = None,
                      algo: str = "bhc", cfg: SearchConfig = SearchConfig()):
-    """Exhaustive search over variable orders; returns (best order, its tree).
+    """Best variable order by dynamic programming over predecessor sets.
 
-    Every permutation (honoring `fixed_last`) is searched from the
-    algorithm's default start.  The pick rule is the one of the searches:
-    among the orders whose final score lies within TIE_TOLERANCE of the
-    best, the lexicographically smallest wins.  Guarded to p <= 8.
+    Returns (best order as names, its tree).  The score of an order is the
+    sum of one term per variable v, and the term depends only on the set S
+    of variables before v: the root term is v's marginal, and every other
+    term is -2 logL + stages * penalty of one level search on the table of
+    v given S, with S in index order, from the algorithm's default start
+    (one stage for hc, saturated otherwise).  `cfg.scope` selects the
+    depths |S| searched and `cfg.max_iter` caps each level search.  So
+    p * 2^(p-1) level searches (fewer with `fixed_last`) are memoized, and
+    a backward pass gives the best score of every completion.  Among the orders whose total lies
+    within max(TIE_TOLERANCE, 1e-12 * |best|) of the best, the
+    lexicographically smallest (by variable index) wins.  `fixed_last`
+    pins one variable last.  The returned tree is the algorithm's search on
+    the data in the winning order, the tree `learn --order` gives.
+
+    UnsupportedSizeError is raised before any search when the level tables
+    hold more than MAX_CELLS rows in total, or when bhc's largest S x S
+    candidate matrix exceeds MAX_CELLS entries.
     """
     p = data.space.p
-    if p > 8:
-        raise UnsupportedSizeError(
-            f"p = {p} exceeds the exhaustive order enumeration guard (p <= 8)")
     if algo not in _SEARCHES:
         raise InvalidArgumentError(f"unknown search algorithm {algo!r}")
     last = None
@@ -399,20 +433,73 @@ def enumerate_orders(data: Dataset, fixed_last: int | str | None = None,
         last = data.space.index_of(fixed_last) if isinstance(fixed_last, str) else int(fixed_last)
         if not 0 <= last < p:
             raise InvalidArgumentError(f"fixed_last {fixed_last!r} out of range")
+    searched = set(_levels_to_search(p, cfg))
+    unit = _stage_cost(data, cfg)
+    sizes = data.space.level_counts
     free = [i for i in range(p) if i != last]
-    # (score, order, tree) of the orders within TIE_TOLERANCE of the best so
-    # far, in lexicographic order; an order dropped here is not within the
-    # tolerance of the overall best either
-    near: list = []
-    for perm in itertools.permutations(free):
-        order = perm + (last,) if last is not None else perm
-        reordered = data.reorder(order)
-        tree, trace = _SEARCHES[algo](default_start(algo, reordered.space), reordered, cfg)
-        final = trace.final_score
-        if final is None:
-            final = _initial_score(tree, reordered, cfg)
-        near.append((final, order, tree))
-        low = min(f for f, _, _ in near)
-        near = [c for c in near if c[0] <= low + TIE_TOLERANCE]
-    _, order, tree = near[0]
+    # the level of v after S has one row per configuration of S, and the
+    # sets S before v sum to prod(1 + levels) over the other free variables
+    rows = sum(math.prod(1 + sizes[i] for i in free if i != v) for v in free)
+    rows += math.prod(sizes[i] for i in free) if last is not None else 0
+    if rows > MAX_CELLS:
+        raise UnsupportedSizeError(
+            f"the order search's level tables hold {rows} rows, over the {MAX_CELLS} supported")
+    if algo == "bhc":
+        # from the saturated start, a level of depth d has at most as many
+        # stages as the d largest level counts allow
+        largest = sorted((sizes[i] for i in free), reverse=True)
+        side = max((math.prod(largest[:d]) for d in searched), default=1)
+        _check_candidates(side, side)
+
+    full = (1 << p) - 1
+    tensors = {full: data.tensor()}
+
+    def marginal(subset: int) -> np.ndarray:
+        """Count tensor of the variables in the bit set, axes in index order."""
+        if subset not in tensors:
+            u = next(i for i in range(p) if not subset >> i & 1)
+            axis = bin(subset & ((1 << u) - 1)).count("1")
+            tensors[subset] = marginal(subset | 1 << u).sum(axis=axis)
+        return tensors[subset]
+
+    def level_term(pre: int, v: int) -> float:
+        preds = [i for i in range(p) if pre >> i & 1]
+        position = sum(1 for i in preds if i < v)
+        table = np.moveaxis(marginal(pre | 1 << v), position, -1).reshape(-1, sizes[v])
+        table = np.ascontiguousarray(table, dtype=np.float64)
+        penalty = (sizes[v] - 1) * unit
+        assign = np.zeros(len(table), dtype=np.int64) if algo == "hc" else np.arange(len(table))
+        if len(preds) in searched:
+            assign, _ = _search_level(_MOVES[algo], table, tuple(sizes[i] for i in preds),
+                                      penalty, assign, cfg.max_iter)
+        ids, stage_of = np.unique(assign, return_inverse=True)
+        loglik = float(_loglik(_stage_counts(table, stage_of, len(ids))).sum())
+        return -2.0 * loglik + len(ids) * penalty
+
+    def successors(pre: int):
+        if last is not None and pre == full ^ 1 << last:
+            return [last]
+        return [v for v in free if not pre >> v & 1]
+
+    # rest[S]: best total of the terms after predecessor set S
+    rest = {full: 0.0}
+    term = {}
+    for pre in range(full - 1, -1, -1):
+        if last is not None and pre >> last & 1:
+            continue  # the fixed last variable only ends an order
+        for v in successors(pre):
+            term[pre, v] = level_term(pre, v)
+        rest[pre] = min(term[pre, v] + rest[pre | 1 << v] for v in successors(pre))
+    bound = rest[0] + max(TIE_TOLERANCE, 1e-12 * abs(rest[0]))
+    order, pre, done = [], 0, 0.0
+    while pre != full:
+        # the smallest next variable with a completion within the bound; should
+        # rounding leave none within it, the one with the best completion
+        v = min(successors(pre),
+                key=lambda u: (max(done + term[pre, u] + rest[pre | 1 << u], bound), u))
+        order.append(v)
+        done += term[pre, v]
+        pre |= 1 << v
+    reordered = data.reorder(order)
+    tree, _ = _SEARCHES[algo](default_start(algo, reordered.space), reordered, cfg)
     return tuple(data.space.names[i] for i in order), tree

@@ -358,3 +358,97 @@ def dependence_subtree_by_configurations(tree, parents, target: int):
         entry = {sym: source[sym] for sym in last} if q else {0: source[last[0]]}
         fitted = (None,) * q + (entry,)
     return StagedTree(sub_space, tuple(vectors), fitted)
+
+
+def _order_pick(results):
+    """(total, order, ...) of the lexicographically smallest order near the best.
+
+    `results` lists every order in lexicographic order; near means within
+    max(1e-9, 1e-12 * |best|) of the smallest total.
+    """
+    best = min(r[0] for r in results)
+    return next(r for r in results if r[0] <= best + max(1e-9, 1e-12 * abs(best)))
+
+
+def enumerate_orders_by_permutations(data, fixed_last=None, algo="bhc", cfg=None):
+    """Best variable order by one whole search per permutation.
+
+    Every permutation of the variables (`fixed_last`, a name, stays last) is
+    searched from the algorithm's default start on the reordered data and
+    scored by the trace's final score, or the start's score when no move is
+    taken.  Returns (order as names, its tree) under the order tie rule.
+    """
+    import stagetrees as st
+    cfg = cfg or st.SearchConfig()
+    search = {"bhc": st.bhc, "hc": st.hc, "csbhc": st.csbhc}[algo]
+    last = () if fixed_last is None else (data.space.index_of(fixed_last),)
+    results = []
+    for perm in itertools.permutations(i for i in range(data.space.p) if (i,) != last):
+        order = perm + last
+        reordered = data.reorder(order)
+        tree, trace = search(st.default_start(algo, reordered.space), reordered, cfg)
+        final = trace.final_score
+        if final is None:
+            report = st.score(tree, reordered)
+            final = report.bic if cfg.score == "bic" else report.aic
+        results.append((final, order, tree))
+    _, order, tree = _order_pick(results)
+    return tuple(data.space.names[i] for i in order), tree
+
+
+def index_order_objective_by_permutations(data, fixed_last=None, algo="bhc", cfg=None):
+    """Best order under the sum of index-order level terms, over every permutation.
+
+    The term of variable v after the set S comes from a whole search on the
+    counts marginalized onto S (in index order) followed by v, with only
+    v's depth in scope (and only if `cfg.scope` holds it): -2 logL + stages
+    * (levels - 1) * unit of that last level, tallied with plain dicts.
+    Returns (order as names, its total) under the order tie rule.
+    """
+    import stagetrees as st
+    cfg = cfg or st.SearchConfig()
+    search = {"bhc": st.bhc, "hc": st.hc, "csbhc": st.csbhc}[algo]
+    space = data.space
+    n = sum(int(c) for c in data.counts)
+    unit = math.log(n) if cfg.score == "bic" else 2.0
+    tensor = data.tensor()
+    terms = {}
+
+    def term(preds: tuple, v: int) -> float:
+        keep = preds + (v,)
+        ranked = sorted(keep)
+        drop = tuple(ax for ax in range(space.p) if ax not in keep)
+        counts = (tensor.sum(axis=drop) if drop else tensor).transpose(
+            [ranked.index(i) for i in keep])
+        sub = st.Dataset(st.SampleSpace(tuple(space.variables[i] for i in keep)),
+                         counts.reshape(-1))
+        depth = len(preds)
+        searched = depth >= 1 and (cfg.scope is None or depth in cfg.scope)
+        sub_cfg = st.SearchConfig(cfg.score, cfg.max_iter, (depth,) if searched else ())
+        tree, _ = search(st.default_start(algo, sub.space), sub, sub_cfg)
+        groups: dict[int, dict[int, int]] = {}
+        for idx, config in enumerate(sub.space.configurations()):
+            prefix = 0
+            for q in range(depth):
+                prefix = prefix * sub.space.level_counts[q] + config[q]
+            tally = groups.setdefault(tree.symbols_at(depth)[prefix], {})
+            tally[config[depth]] = tally.get(config[depth], 0) + int(sub.counts[idx])
+        log_lik = 0.0
+        for tally in groups.values():
+            total = sum(tally.values())
+            log_lik += sum(c * math.log(c / total) for c in tally.values() if c > 0)
+        return -2.0 * log_lik + len(groups) * (space.level_counts[v] - 1) * unit
+
+    last = () if fixed_last is None else (space.index_of(fixed_last),)
+    results = []
+    for perm in itertools.permutations(i for i in range(space.p) if (i,) != last):
+        order = perm + last
+        total = 0.0
+        for k, v in enumerate(order):
+            key = (tuple(sorted(order[:k])), v)
+            if key not in terms:
+                terms[key] = term(*key)
+            total += terms[key]
+        results.append((total, order))
+    total, order = _order_pick(results)
+    return tuple(space.names[i] for i in order), total

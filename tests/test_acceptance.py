@@ -78,7 +78,7 @@ def label_sweep():
                 got = aldag.labels.get((j, i))
                 cases += 1
                 if got is not want and got != want:
-                    mismatches.append((tree.space.sizes, tree.stage_vectors,
+                    mismatches.append((tree.space.level_counts, tree.stage_vectors,
                                        (j, i), got, want))
 
     for sizes in itertools.product((2, 3), repeat=3):

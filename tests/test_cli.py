@@ -26,6 +26,17 @@ def fig1_files(tmp_path, titanic, titanic_dag):
     return str(dag_path), str(space_path)
 
 
+@pytest.fixture()
+def wide_csv(tmp_path):
+    """Count CSV over 16 binary variables, two observed rows."""
+    csv = tmp_path / "wide.csv"
+    names = [f"v{i}" for i in range(16)]
+    csv.write_text(",".join(names + ["count"]) + "\n"
+                   + ",".join(["0"] * 16 + ["3"]) + "\n"
+                   + ",".join(["1"] * 16 + ["2"]) + "\n")
+    return str(csv)
+
+
 def run(capsys, *argv: str) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -182,6 +193,21 @@ class TestLearn:
                            "--fix-last", "b", "--out", str(out_path))
         assert code == 0
         assert json.loads(out)["order"][-1] == "b"
+
+    @pytest.mark.parametrize("algo", ["bhc", "hc", "csbhc"])
+    def test_enumerate_orders_learns_the_winners_tree(self, capsys, tmp_path, titanic_csv,
+                                                      algo):
+        args = ["learn", "--data", titanic_csv, "--count-column", "count", "--algo", algo]
+        code, out, _ = run(capsys, *args, "--enumerate-orders",
+                           "--out", str(tmp_path / "orders.json"))
+        assert code == 0
+        winner = json.loads(out)["order"]
+        code, _, _ = run(capsys, *args, "--order", *winner, "--out", str(tmp_path / "one.json"))
+        assert code == 0
+        searched = st.ModelDocument.load(tmp_path / "orders.json")
+        learned = st.ModelDocument.load(tmp_path / "one.json")
+        assert searched.tree.stage_vectors == learned.tree.stage_vectors
+        assert searched.score.bic == learned.score.bic
 
     def test_order_selects_the_variables(self, capsys, tmp_path, titanic_csv):
         args = ["learn", "--data", titanic_csv, "--count-column", "count",
@@ -391,17 +417,26 @@ class TestErrorChannels:
         assert json.loads(err)["code"] == "UnsupportedSizeError"
         assert peak < 8 * 2**20
 
-    def test_oversized_bhc_is_model_error(self, capsys, tmp_path):
-        # 16 binary variables: the deepest saturated level has 2**15 stages,
-        # and bhc's 2**15 x 2**15 candidate matrix would take 8 GiB
-        csv = tmp_path / "wide.csv"
-        names = [f"v{i}" for i in range(16)]
-        csv.write_text(",".join(names + ["count"]) + "\n"
-                       + ",".join(["0"] * 16 + ["3"]) + "\n"
-                       + ",".join(["1"] * 16 + ["2"]) + "\n")
+    def test_oversized_order_search_is_model_error(self, capsys, tmp_path, wide_csv):
+        # the order search's level tables would hold 16 * 3**15 rows
         tracemalloc.start()
         try:
-            code, _, err = run(capsys, "learn", "--data", str(csv), "--count-column", "count",
+            code, _, err = run(capsys, "learn", "--data", wide_csv, "--count-column", "count",
+                               "--enumerate-orders", "--algo", "hc",
+                               "--out", str(tmp_path / "m.json"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 4
+        assert json.loads(err)["code"] == "UnsupportedSizeError"
+        assert peak < 8 * 2**20
+
+    def test_oversized_bhc_is_model_error(self, capsys, tmp_path, wide_csv):
+        # the deepest saturated level has 2**15 stages, and bhc's
+        # 2**15 x 2**15 candidate matrix would take 8 GiB
+        tracemalloc.start()
+        try:
+            code, _, err = run(capsys, "learn", "--data", wide_csv, "--count-column", "count",
                                "--algo", "bhc", "--out", str(tmp_path / "m.json"))
             peak = tracemalloc.get_traced_memory()[1]
         finally:

@@ -11,7 +11,8 @@ import stagetrees as st
 from stagetrees.learning import _column_merge_groups, _merged_loglik
 
 from conftest import draw_level, random_space, random_dataset
-from oracles import bhc_by_pairs, column_merge_groups_by_full_walk, learn_dag_by_global_toggles
+from oracles import (bhc_by_pairs, column_merge_groups_by_full_walk, enumerate_orders_by_permutations,
+                     index_order_objective_by_permutations, learn_dag_by_global_toggles)
 
 L = st.DependenceLabel
 
@@ -295,6 +296,29 @@ class TestLearnDag:
         assert learned.edges == learn_dag_by_global_toggles(data, score, sink)
 
 
+# Inputs from the benchmark generator gen.generate(entropy, (2,)*p, n), keyed
+# by entropy; "1-1" and "1-20" are p = 5, n = 10**6 and "0-6" is p = 6, n = 5000.
+PINNED_ORDER_COUNTS = {
+    "1-1": [0, 0, 0, 0, 874, 1586, 115, 220, 73845, 22565, 172886, 52830, 1423, 2413, 181,
+            332, 7528, 7057, 3211, 2933, 55519, 102351, 79536, 148237, 19443, 5819, 8291,
+            2540, 34183, 59378, 49097, 85607],
+    "1-20": [186, 4529, 106, 126, 10580, 268543, 7526, 8503, 1160, 1635, 97, 56, 12059,
+             16392, 910, 670, 297, 7852, 38433, 42147, 2370, 60443, 10502, 11352, 3726,
+             5180, 49280, 36515, 125337, 170643, 59166, 43679],
+    "0-6": [0, 0, 1, 0, 0, 0, 0, 0, 18, 3, 151, 57, 36, 0, 9, 1, 12, 2, 22, 7, 243, 32, 75,
+            35, 4, 1, 16, 9, 277, 45, 66, 15, 427, 795, 227, 1778, 104, 198, 11, 101, 1, 0,
+            1, 5, 0, 1, 0, 0, 3, 4, 1, 14, 39, 73, 5, 42, 0, 0, 0, 1, 8, 16, 1, 7],
+}
+
+
+def pinned_order_data(key: str) -> st.Dataset:
+    """The pinned counts over binary x1..xp."""
+    counts = PINNED_ORDER_COUNTS[key]
+    p = len(counts).bit_length() - 1
+    space = st.SampleSpace(tuple((f"x{i}", ("0", "1")) for i in range(1, p + 1)))
+    return st.Dataset(space, np.array(counts, dtype=np.int64))
+
+
 class TestEnumerateOrders:
     def test_single_variable(self):
         space = space_of(3)
@@ -332,23 +356,66 @@ class TestEnumerateOrders:
         assert results[0] == pytest.approx(results[1], abs=1e-9)
 
     def test_near_tied_orders_go_to_the_smallest(self):
-        # gen.generate([0, 6], (2,)*6, 5000) of the benchmark generator: four
-        # orders score within 3.6e-12 of the best, and the exact minimum is
-        # not the lexicographically smallest of them
-        counts = [0, 0, 1, 0, 0, 0, 0, 0, 18, 3, 151, 57, 36, 0, 9, 1, 12, 2, 22, 7, 243,
-                  32, 75, 35, 4, 1, 16, 9, 277, 45, 66, 15, 427, 795, 227, 1778, 104,
-                  198, 11, 101, 1, 0, 1, 5, 0, 1, 0, 0, 3, 4, 1, 14, 39, 73, 5, 42, 0,
-                  0, 0, 1, 8, 16, 1, 7]
-        space = st.SampleSpace(tuple((f"x{i}", ("0", "1")) for i in range(1, 7)))
-        data = st.Dataset(space, np.array(counts, dtype=np.int64))
-        order, _ = st.enumerate_orders(data, fixed_last="x6", algo="bhc")
+        # four orders score within 3.6e-12 of the best, and the exact minimum
+        # is not the lexicographically smallest of them
+        order, _ = st.enumerate_orders(pinned_order_data("0-6"), fixed_last="x6", algo="bhc")
         assert order == ("x2", "x4", "x5", "x3", "x1", "x6")
 
-    def test_factorial_guard(self):
+    @pytest.mark.parametrize("key", ["1-1", "1-20"])
+    def test_order_ties_scale_with_the_score(self, key):
+        # at a BIC near 5e6 one ulp is 9.3e-10, so Markov-equivalent orders,
+        # equal in exact arithmetic, differ by about TIE_TOLERANCE; the
+        # relative tolerance lets the lexicographic rule decide, not rounding
+        order, _ = st.enumerate_orders(pinned_order_data(key), fixed_last="x5", algo="hc")
+        assert order == ("x1", "x2", "x3", "x4", "x5")
+
+    @pytest.mark.parametrize("key, algo", [("1-1", "hc"), ("1-20", "hc"), ("0-6", "bhc")])
+    def test_matches_enumeration_on_pinned_inputs(self, key, algo):
+        data = pinned_order_data(key)
+        last = data.space.names[-1]
+        order, tree = st.enumerate_orders(data, fixed_last=last, algo=algo)
+        assert (order, tree) == enumerate_orders_by_permutations(data, last, algo)
+
+    @pytest.mark.parametrize("fixed", [False, True])
+    @pytest.mark.parametrize("algo", ["bhc", "hc", "csbhc"])
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(draw=hs.data())
+    def test_matches_brute_force_over_permutations(self, algo, fixed, draw):
+        sizes = draw.draw(hs.lists(hs.integers(2, 3), min_size=1, max_size=5)
+                          .filter(lambda s: math.prod(s) <= 108))
+        cells = math.prod(sizes)
+        scale = draw.draw(hs.integers(1, 40))
+        counts = np.array(draw.draw(hs.lists(hs.integers(0, 9), min_size=cells,
+                                             max_size=cells)), dtype=np.int64) * scale
+        counts[0] += counts.sum() == 0
+        data = st.Dataset(space_of(*sizes), counts)
+        fixed_last = f"x{draw.draw(hs.integers(0, len(sizes) - 1))}" if fixed else None
+        depths = hs.lists(hs.integers(1, len(sizes) - 1), unique=True) if len(sizes) > 1 \
+            else hs.just([])
+        cfg = st.SearchConfig(score=draw.draw(hs.sampled_from(["bic", "aic"])),
+                              max_iter=draw.draw(hs.none() | hs.integers(1, 3)),
+                              scope=draw.draw(hs.none() | depths))
+        order, tree = st.enumerate_orders(data, fixed_last, algo, cfg)
+        assert order == index_order_objective_by_permutations(data, fixed_last, algo, cfg)[0]
+        reordered = data.reorder(order)
+        assert tree == getattr(st, algo)(st.default_start(algo, reordered.space),
+                                         reordered, cfg)[0]
+
+    def test_nine_variables_run(self):
         space = space_of(*([2] * 9))
-        data = st.Dataset(space, np.ones(512, dtype=np.int64))
-        with pytest.raises(st.UnsupportedSizeError, match="p <= 8"):
-            st.enumerate_orders(data)
+        rng = np.random.default_rng(9)
+        data = random_dataset(rng, space, 300)
+        order, tree = st.enumerate_orders(data, fixed_last="x4", algo="hc")
+        assert sorted(order) == sorted(space.names) and order[-1] == "x4"
+        assert tree.space == data.reorder(order).space
+
+    def test_size_guard_before_any_search(self, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("searched a level before the size guard")
+        monkeypatch.setattr("stagetrees.learning._search_level", no_search)
+        data = st.Dataset(space_of(*([2] * 16)), np.ones(1 << 16, dtype=np.int64))
+        with pytest.raises(st.UnsupportedSizeError, match="level tables"):
+            st.enumerate_orders(data, algo="hc")
 
     def test_titanic_fixed_last_age(self, titanic):
         order, tree = st.enumerate_orders(titanic, fixed_last="Age")
