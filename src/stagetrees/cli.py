@@ -12,7 +12,8 @@ import sys
 
 from .conversion import d_separated, dag_to_staged_tree, dependence_subtree, staged_tree_to_aldag
 from .core import Dataset, InvalidArgumentError, LABEL_ORDER
-from .io import DataError, ModelDocument, _csv_columns, load_dag, load_space, read_csv, write_dot
+from .io import (DataError, ModelDocument, _csv_columns, _score_json, load_dag, load_space,
+                 read_csv, write_dot)
 from .learning import SearchConfig, default_start, enumerate_orders, learn_dag, refine_dag, _SEARCHES
 from .scoring import fit, score
 
@@ -38,11 +39,6 @@ def _data_flags(sub) -> None:
 
 def _census_json(aldag) -> dict:
     return {lab.value: c for lab, c in zip(LABEL_ORDER, aldag.census())}
-
-
-def _score_json(report) -> dict:
-    return {"log_likelihood": report.log_likelihood, "df": report.df,
-            "bic": report.bic, "aic": report.aic, "n": report.n}
 
 
 def _resolve_vertex(token: str, p: int, names) -> int:

@@ -238,9 +238,10 @@ class StagedTree:
                     if len(dist) != k:
                         raise InvalidArgumentError(
                             f"distribution for stage {sym!r} at depth {d} has length {len(dist)}")
-                    if any(x < -PROB_TOL or x > 1 + PROB_TOL for x in dist):
+                    # written so that NaN, which fails every comparison, fails both checks
+                    if not all(-PROB_TOL <= x <= 1 + PROB_TOL for x in dist):
                         raise InvalidArgumentError("probabilities must lie in [0, 1]")
-                    if abs(sum(dist) - 1.0) > PROB_TOL:
+                    if not abs(sum(dist) - 1.0) <= PROB_TOL:
                         raise InvalidArgumentError(
                             f"distribution for stage {sym!r} at depth {d} does not sum to 1")
                     rekeyed[relabel[sym]] = dist

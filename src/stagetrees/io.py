@@ -10,6 +10,7 @@ import csv
 import importlib.resources
 import itertools
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -235,13 +236,46 @@ def _atomic_write(path, text: str) -> None:
         raise
 
 
-def _parse_document(text: str) -> dict:
-    """Decode a JSON document and check its format version."""
+def _finite(token: str) -> float:
+    """A JSON number token as a float; NaN, Infinity and overflowing tokens are refused."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise InvalidArgumentError(f"non-finite number {token} in document")
+    return value
+
+
+def _int(value) -> int:
+    """A field that must be a JSON integer: bools, floats and strings are refused."""
+    if type(value) is not int:
+        raise InvalidArgumentError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _real(value) -> float:
+    """A field that must be a JSON number: bools and strings are refused."""
+    if type(value) not in (int, float):
+        raise InvalidArgumentError(f"expected a number, got {value!r}")
     try:
-        doc = json.loads(text)
+        return float(value)
+    except OverflowError:
+        raise InvalidArgumentError(f"number {value} out of range") from None
+
+
+def _array(value) -> list:
+    """A field that must be a JSON array."""
+    if type(value) is not list:
+        raise InvalidArgumentError(f"expected an array, got {value!r}")
+    return value
+
+
+def _parse_document(text: str) -> dict:
+    """Decode a JSON document of finite numbers and check its format version."""
+    try:
+        doc = json.loads(text, parse_float=_finite, parse_constant=_finite)
     except json.JSONDecodeError as err:
         raise InvalidArgumentError(f"not valid JSON: {err}") from None
-    if not isinstance(doc, dict) or doc.get("format_version") != FORMAT_VERSION:
+    version = doc.get("format_version") if isinstance(doc, dict) else None
+    if type(version) is not int or version != FORMAT_VERSION:
         raise InvalidArgumentError("unsupported or missing format_version")
     return doc
 
@@ -262,9 +296,15 @@ def _space_json(space: SampleSpace) -> list:
 
 def _space_from_json(payload) -> SampleSpace:
     try:
-        return SampleSpace(tuple((v["name"], tuple(v["levels"])) for v in payload))
+        return SampleSpace(tuple((v["name"], tuple(_array(v["levels"]))) for v in payload))
     except (TypeError, KeyError) as err:
         raise InvalidArgumentError(f"malformed variables section: {err}") from None
+
+
+def _score_json(report: ScoreReport) -> dict:
+    """The score record of model documents and of the CLI's stdout."""
+    return {"log_likelihood": float(report.log_likelihood), "df": int(report.df),
+            "bic": float(report.bic), "aic": float(report.aic), "n": int(report.n)}
 
 
 # ---------------------------------------------------------------------------
@@ -310,16 +350,7 @@ class ModelDocument:
         else:
             doc["aldag"] = {"edges": [[j, i, self.aldag.labels[(j, i)].value]
                                       for j, i in self.aldag.dag.sorted_edges]}
-        if self.score is None:
-            doc["score"] = None
-        else:
-            doc["score"] = {
-                "log_likelihood": float(self.score.log_likelihood),
-                "df": int(self.score.df),
-                "bic": float(self.score.bic),
-                "aic": float(self.score.aic),
-                "n": int(self.score.n),
-            }
+        doc["score"] = None if self.score is None else _score_json(self.score)
         if self.trace is None:
             doc["trace"] = None
         else:
@@ -347,7 +378,7 @@ class ModelDocument:
     def _from_document(cls, doc: dict) -> "ModelDocument":
         try:
             space = _space_from_json(doc["variables"])
-            vectors = [[int(s) for s in symbols] for symbols in doc["stage_vectors"]]
+            vectors = [[_int(s) for s in symbols] for symbols in doc["stage_vectors"]]
             fitted = None
             if doc.get("fitted") is not None:
                 entries = []
@@ -355,26 +386,26 @@ class ModelDocument:
                     if level is None:
                         entries.append(None)
                     else:
-                        entries.append({s: tuple(float(x) for x in dist)
+                        entries.append({s: tuple(_real(x) for x in dist)
                                         for s, dist in enumerate(level)})
                 fitted = tuple(entries)
             tree = StagedTree(space, vectors, fitted)
             aldag = None
             if doc.get("aldag") is not None:
-                labels = {(int(j), int(i)): DependenceLabel(label)
+                labels = {(_int(j), _int(i)): DependenceLabel(label)
                           for j, i, label in doc["aldag"]["edges"]}
                 aldag = Aldag(Dag(space.p, frozenset(labels)), labels)
             report = None
             if doc.get("score") is not None:
                 s = doc["score"]
-                report = ScoreReport(float(s["log_likelihood"]), int(s["df"]),
-                                     float(s["bic"]), float(s["aic"]), int(s["n"]))
+                report = ScoreReport(_real(s["log_likelihood"]), _int(s["df"]),
+                                     _real(s["bic"]), _real(s["aic"]), _int(s["n"]))
             trace = None
             if doc.get("trace") is not None:
                 trace = SearchTrace(tuple(
-                    TraceStep(int(t["level"]), str(t["kind"]),
-                              tuple(int(s) for s in t["stages"]),
-                              float(t["score_before"]), float(t["score_after"]))
+                    TraceStep(_int(t["level"]), str(t["kind"]),
+                              tuple(_int(s) for s in t["stages"]),
+                              _real(t["score_before"]), _real(t["score_after"]))
                     for t in doc["trace"]))
         except (TypeError, KeyError, ValueError) as err:
             if isinstance(err, InvalidArgumentError):
@@ -401,10 +432,10 @@ def load_dag(path):
     """Load a DAG document; returns (Dag, names or None)."""
     doc = _read_document(path, "DAG")
     try:
-        dag = Dag(int(doc["p"]), frozenset((int(j), int(i)) for j, i in doc["edges"]))
+        dag = Dag(_int(doc["p"]), frozenset((_int(j), _int(i)) for j, i in doc["edges"]))
         names = doc.get("variables")
         if names is not None:
-            names = [str(x) for x in names]
+            names = [str(x) for x in _array(names)]
             if len(names) != dag.p:
                 raise InvalidArgumentError("wrong number of variable names")
     except (TypeError, KeyError, ValueError) as err:

@@ -10,9 +10,10 @@ if its delta is below -1e-9.  Deltas that are equal in exact arithmetic
 below the tolerance, so they tie.  Each level runs to its local fixpoint;
 scores decompose over levels, so that is a fixpoint of the model.
 
-`enumerate_orders` uses the same decomposition across orders: it runs one
-level search per (predecessor set, variable), on the level table with the
-predecessors in index order, and combines the terms by dynamic programming.
+`enumerate_orders` uses the same decomposition across orders: it runs
+`_search_level` once per (predecessor set, variable), on a level table
+summed straight from the count tensor with the predecessors in index order,
+and a dynamic program combines the level terms those searches return.
 A level search sees its vertices in that layout, and the tie rule and the
 greedy path can depend on it; a whole search of one order lays a level out
 in that order's prefix instead.  So the DP finds the order that full
@@ -103,11 +104,6 @@ class SearchTrace:
         return self.steps[-1].score_after if self.steps else None
 
 
-def _initial_score(tree: StagedTree, data: Dataset, cfg: SearchConfig) -> float:
-    report = score(tree, data, FitConfig())
-    return report.bic if cfg.score == "bic" else report.aic
-
-
 def _levels_to_search(p: int, cfg: SearchConfig):
     levels = range(1, p)
     if cfg.scope is None:
@@ -151,7 +147,7 @@ def _merged_loglik(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pair_joins(table, sizes, penalty, assign, ids, counts, loglik):
+def _pair_joins(table, sizes, penalty, assign, stage_of, ids, counts, loglik):
     """bhc candidates: join stages s1 < s2, the upper triangle of an S x S matrix."""
     # in place, so the S x S matrix is the only full-size array
     deltas = _merged_loglik(counts, counts)
@@ -167,14 +163,13 @@ def _pair_joins(table, sizes, penalty, assign, ids, counts, loglik):
     return deltas, move
 
 
-def _vertex_moves(table, sizes, penalty, assign, ids, counts, loglik):
+def _vertex_moves(table, sizes, penalty, assign, src, ids, counts, loglik):
     """hc candidates: move one vertex to another stage or to a fresh singleton.
 
     Row v holds vertex v's moves to every stage in id order, then to the
     fresh stage, whose id exceeds every existing one; the fresh stage is
     scored as an empty stage with zero log-likelihood.
     """
-    src = np.searchsorted(ids, assign)
     singleton = np.bincount(src, minlength=len(ids))[src] == 1
     deltas = _merged_loglik(table, np.vstack([counts, np.zeros(counts.shape[1])]))
     deltas += _loglik(counts[src] - table)[:, None]
@@ -219,10 +214,10 @@ def _column_merge_groups(sizes_prefix, symbols) -> np.ndarray:
     return groups[keep]
 
 
-def _column_joins(table, sizes, penalty, assign, ids, counts, loglik):
+def _column_joins(table, sizes, penalty, assign, stage_of, ids, counts, loglik):
     """csbhc candidates: merge the stages of one context column, groups in sorted order."""
     # stage indices into ids; the -1 pad indexes an appended empty stage
-    rows = _column_merge_groups(sizes, np.searchsorted(ids, assign))
+    rows = _column_merge_groups(sizes, stage_of)
     counts = np.vstack([counts, np.zeros(counts.shape[1])])
     loglik = np.append(loglik, 0.0)
     parts = loglik[rows[:, 0]]
@@ -243,7 +238,7 @@ def _dag_parents(assign, sizes):
     return {j for j in range(len(sizes)) if assign[math.prod(sizes[j + 1:])] != 0}
 
 
-def _parent_toggles(table, sizes, penalty, assign, ids, counts, loglik, sink=None):
+def _parent_toggles(table, sizes, penalty, assign, stage_of, ids, counts, loglik, sink=None):
     """learn_dag candidates: the level's DAG staging with parent j toggled, j in id order.
 
     The sink is never a parent; a move relabels the whole level.
@@ -264,28 +259,34 @@ def _parent_toggles(table, sizes, penalty, assign, ids, counts, loglik, sink=Non
 
 
 def _search_level(candidates, table, sizes, penalty, assign, max_iter):
-    """Greedy search of one level; returns the final assignment and the moves taken.
+    """Greedy search of one level; returns the final assignment, the moves and the term.
 
     `candidates` is called with the level table, the level counts of the
     preceding variables, the score cost of one more stage, the stage id of
-    every vertex, the sorted stage ids with their S x K count matrix and
-    log-likelihoods; it returns the deltas, laid out in tie order, and a
-    function that turns the picked index into (kind, stages, vertices to
-    relabel, their new id or ids).  `assign` is updated in place; each move
-    is returned as (kind, stages, score delta), at most `max_iter` of them.
+    every vertex and its index into the sorted stage ids, those ids with
+    their S x K count matrix and log-likelihoods; it returns the deltas,
+    laid out in tie order, and a function that turns the picked index into
+    (kind, stages, vertices to relabel, their new id or ids).  `assign` is
+    updated in place; each move is returned as (kind, stages, score delta),
+    at most `max_iter` of them (0 scores the start).  The term is the
+    level's share of the score, -2 logL + stages * penalty, at the final
+    assignment.
     """
     moves = []
-    while max_iter is None or len(moves) < max_iter:
+    while True:
         ids, stage_of = np.unique(assign, return_inverse=True)
         counts = _stage_counts(table, stage_of, len(ids))
-        deltas, move = candidates(table, sizes, penalty, assign, ids, counts, _loglik(counts))
+        loglik = _loglik(counts)
+        if max_iter is not None and len(moves) >= max_iter:
+            break
+        deltas, move = candidates(table, sizes, penalty, assign, stage_of, ids, counts, loglik)
         best = _pick(deltas)
         if best is None:
             break
         kind, stages, rows, dest = move(best)
         assign[rows] = dest
         moves.append((kind, stages, float(deltas.flat[best])))
-    return assign, moves
+    return assign, moves, -2.0 * float(loglik.sum()) + len(ids) * penalty
 
 
 def _stage_cost(data: Dataset, cfg: SearchConfig) -> float:
@@ -304,14 +305,15 @@ def _run_search(candidates, start: StagedTree, data: Dataset, cfg: SearchConfig)
     if start.space != data.space:
         raise InvalidArgumentError("start tree and dataset use different sample spaces")
     unit = _stage_cost(data, cfg)
-    current = _initial_score(start, data, cfg)
+    report = score(start, data, FitConfig())
+    current = report.bic if cfg.score == "bic" else report.aic
     steps: list[TraceStep] = []
     sizes = start.space.level_counts
     vectors = list(start.stage_vectors)
     for depth in _levels_to_search(start.p, cfg):
-        assign, moves = _search_level(candidates, data.level_table(depth), sizes[:depth],
-                                      (sizes[depth] - 1) * unit,
-                                      np.array(start.symbols_at(depth)), cfg.max_iter)
+        assign, moves, _ = _search_level(candidates, data.level_table(depth), sizes[:depth],
+                                         (sizes[depth] - 1) * unit,
+                                         np.array(start.symbols_at(depth)), cfg.max_iter)
         for kind, stages, delta in moves:
             steps.append(TraceStep(depth, kind, stages, current, current + delta))
             current += delta
@@ -354,13 +356,17 @@ def csbhc(start: StagedTree, data: Dataset, cfg: SearchConfig = SearchConfig()):
     return _run_search(_column_joins, start, data, cfg)
 
 
+def _start_ids(algo: str, rows: int) -> np.ndarray:
+    """Stage ids of a level's conventional start: one stage for hc, saturated otherwise."""
+    return np.zeros(rows, dtype=np.int64) if algo == "hc" else np.arange(rows)
+
+
 def default_start(algo: str, space: SampleSpace) -> StagedTree:
     """The conventional starting tree: fully merged for hc, saturated otherwise."""
-    if algo == "hc":
-        return StagedTree.one_stage(space)
-    if algo in ("bhc", "csbhc"):
-        return StagedTree.saturated(space)
-    raise InvalidArgumentError(f"unknown search algorithm {algo!r}")
+    if algo not in _SEARCHES:
+        raise InvalidArgumentError(f"unknown search algorithm {algo!r}")
+    return StagedTree(space, tuple(_start_ids(algo, space.prefix_cells(d)).tolist()
+                                   for d in range(1, space.p)))
 
 
 _SEARCHES = {"bhc": bhc, "hc": hc, "csbhc": csbhc}
@@ -409,17 +415,20 @@ def enumerate_orders(data: Dataset, fixed_last: int | str | None = None,
 
     Returns (best order as names, its tree).  The score of an order is the
     sum of one term per variable v, and the term depends only on the set S
-    of variables before v: the root term is v's marginal, and every other
-    term is -2 logL + stages * penalty of one level search on the table of
-    v given S, with S in index order, from the algorithm's default start
-    (one stage for hc, saturated otherwise).  `cfg.scope` selects the
-    depths |S| searched and `cfg.max_iter` caps each level search.  So
-    p * 2^(p-1) level searches (fewer with `fixed_last`) are memoized, and
-    a backward pass gives the best score of every completion.  Among the orders whose total lies
-    within max(TIE_TOLERANCE, 1e-12 * |best|) of the best, the
-    lexicographically smallest (by variable index) wins.  `fixed_last`
-    pins one variable last.  The returned tree is the algorithm's search on
-    the data in the winning order, the tree `learn --order` gives.
+    of variables before v.  It is the term `_search_level` returns for the
+    table of v given S, summed straight from the count tensor with S in
+    index order, from the algorithm's default start (one stage for hc,
+    saturated otherwise); the root term is v's marginal.  `cfg.scope`
+    selects the depths |S| searched (other depths score their start), and
+    `cfg.max_iter` caps each level search.
+
+    The DP memoizes the p * 2^(p-1) level terms (fewer with `fixed_last`),
+    and a backward pass over them gives the best score of every completion.
+    Among the orders whose total lies within max(TIE_TOLERANCE, 1e-12 *
+    |best|) of the best, the lexicographically smallest (by variable index)
+    wins.  `fixed_last` pins one variable last.  The returned tree is the
+    algorithm's search on the data in the winning order, the tree
+    `learn --order` gives.
 
     UnsupportedSizeError is raised before any search when the level tables
     hold more than MAX_CELLS rows in total, or when bhc's largest S x S
@@ -452,29 +461,16 @@ def enumerate_orders(data: Dataset, fixed_last: int | str | None = None,
         _check_candidates(side, side)
 
     full = (1 << p) - 1
-    tensors = {full: data.tensor()}
-
-    def marginal(subset: int) -> np.ndarray:
-        """Count tensor of the variables in the bit set, axes in index order."""
-        if subset not in tensors:
-            u = next(i for i in range(p) if not subset >> i & 1)
-            axis = bin(subset & ((1 << u) - 1)).count("1")
-            tensors[subset] = marginal(subset | 1 << u).sum(axis=axis)
-        return tensors[subset]
 
     def level_term(pre: int, v: int) -> float:
         preds = [i for i in range(p) if pre >> i & 1]
-        position = sum(1 for i in preds if i < v)
-        table = np.moveaxis(marginal(pre | 1 << v), position, -1).reshape(-1, sizes[v])
-        table = np.ascontiguousarray(table, dtype=np.float64)
-        penalty = (sizes[v] - 1) * unit
-        assign = np.zeros(len(table), dtype=np.int64) if algo == "hc" else np.arange(len(table))
-        if len(preds) in searched:
-            assign, _ = _search_level(_MOVES[algo], table, tuple(sizes[i] for i in preds),
-                                      penalty, assign, cfg.max_iter)
-        ids, stage_of = np.unique(assign, return_inverse=True)
-        loglik = float(_loglik(_stage_counts(table, stage_of, len(ids))).sum())
-        return -2.0 * loglik + len(ids) * penalty
+        others = tuple(i for i in range(p) if i != v and not pre >> i & 1)
+        table = np.moveaxis(data.tensor().sum(axis=others), sum(i < v for i in preds), -1)
+        table = np.ascontiguousarray(table.reshape(-1, sizes[v]), dtype=np.float64)
+        _, _, term = _search_level(_MOVES[algo], table, tuple(sizes[i] for i in preds),
+                                   (sizes[v] - 1) * unit, _start_ids(algo, len(table)),
+                                   cfg.max_iter if len(preds) in searched else 0)
+        return term
 
     def successors(pre: int):
         if last is not None and pre == full ^ 1 << last:

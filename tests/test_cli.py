@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import tracemalloc
 from importlib import resources
 from pathlib import Path
@@ -444,3 +445,93 @@ class TestErrorChannels:
         assert code == 4
         assert json.loads(err)["code"] == "UnsupportedSizeError"
         assert peak < 16 * 2**20  # the saturated start tree takes about 7 MiB
+
+
+@pytest.fixture(scope="module")
+def titanic_model(tmp_path_factory, titanic_csv):
+    """The `learn` document for Titanic, as parsed JSON: fitted, labeled, scored and traced."""
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    assert main(["learn", "--data", titanic_csv, "--count-column", "count",
+                 "--out", str(path)]) == 0
+    return json.loads(path.read_text())
+
+
+def set_at(doc: dict, keys: tuple, value) -> dict:
+    """A copy of the document with the field at the key path replaced."""
+    doc = json.loads(json.dumps(doc))
+    inner = doc
+    for key in keys[:-1]:
+        inner = inner[key]
+    inner[keys[-1]] = value
+    return doc
+
+
+class TestDocumentFieldTypes:
+    """Fields of the wrong JSON type are refused (exit 4), never coerced."""
+
+    def test_nan_probabilities(self, capsys, tmp_path, titanic_csv, titanic_model):
+        model = tmp_path / "nan.json"
+        model.write_text(json.dumps(set_at(titanic_model, ("fitted", 1, 0), [math.nan] * 2)))
+        code, out, err = run(capsys, "score", "--model", str(model),
+                             "--data", titanic_csv, "--count-column", "count")
+        assert (code, out) == (4, "")
+        assert json.loads(err)["kind"] == "model"
+
+    @pytest.mark.parametrize("keys,value", [
+        (("format_version",), True),
+        (("format_version",), 1.0),
+        (("variables", 3, "levels"), "CA"),
+        (("stage_vectors", 0, 1), 1.0),
+        (("stage_vectors", 0, 1), "1"),
+        (("stage_vectors", 0, 1), True),
+        (("fitted", 1, 0), ["0.5", "0.5"]),
+        (("fitted", 1, 0), [True, False]),
+        (("aldag", "edges", 0, 0), 0.0),
+        (("score", "df"), 2.9),
+        (("score", "n"), "2201"),
+        (("score", "bic"), "10432.8"),
+        (("trace", 0, "level"), 1.0),
+        (("trace", 0, "stages", 1), 1.0),
+    ], ids=["version-true", "version-float", "levels-string", "stage-float", "stage-string",
+            "stage-bool", "probability-string", "probability-bool", "edge-float", "df-float",
+            "n-string", "bic-string", "trace-level-float", "trace-stage-float"])
+    def test_model(self, capsys, tmp_path, titanic_csv, titanic_model, keys, value):
+        model = tmp_path / "bad.json"
+        model.write_text(json.dumps(set_at(titanic_model, keys, value)))
+        code, _, err = run(capsys, "score", "--model", str(model),
+                           "--data", titanic_csv, "--count-column", "count")
+        assert code == 4
+        assert json.loads(err)["code"] == "InvalidArgumentError"
+
+    @pytest.mark.parametrize("keys,value", [
+        (("format_version",), True),
+        (("p",), 2.9),
+        (("p",), "2"),
+        (("edges", 0, 0), 0.7),
+        (("edges", 0, 0), "0"),
+        (("variables",), "ab"),
+    ], ids=["version-true", "p-float", "p-string", "edge-float", "edge-string",
+            "names-string"])
+    def test_dag(self, capsys, tmp_path, keys, value):
+        dag = tmp_path / "dag.json"
+        good = {"format_version": 1, "p": 2, "variables": ["a", "b"], "edges": [[0, 1]]}
+        dag.write_text(json.dumps(set_at(good, keys, value)))
+        code, _, err = run(capsys, "dsep", "--dag", str(dag), "--a", "0", "--b", "1")
+        assert code == 4
+        assert json.loads(err)["code"] == "InvalidArgumentError"
+
+    @pytest.mark.parametrize("keys,value", [
+        (("format_version",), 1.0),
+        (("variables", 0, "levels"), "xyz"),
+    ], ids=["version-float", "levels-string"])
+    def test_space(self, capsys, tmp_path, keys, value):
+        dag = tmp_path / "dag.json"
+        st.save_dag(st.Dag.empty(2), dag)
+        space = tmp_path / "space.json"
+        good = {"format_version": 1, "variables": [{"name": "a", "levels": ["x", "y", "z"]},
+                                                   {"name": "b", "levels": ["0", "1"]}]}
+        space.write_text(json.dumps(set_at(good, keys, value)))
+        code, _, err = run(capsys, "convert", "--dag", str(dag), "--space", str(space),
+                           "--out", str(tmp_path / "m.json"))
+        assert code == 4
+        assert json.loads(err)["code"] == "InvalidArgumentError"

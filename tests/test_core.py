@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -181,6 +182,13 @@ class TestStagedTree:
         tree = st.StagedTree(space, vectors,
                              fitted=({0: (0.7, 0.3)}, {0: (0.5, 0.5)}))
         assert tree.is_fitted
+
+    @pytest.mark.parametrize("dist", [(math.nan, math.nan), (math.nan, 1.0), (1.0, math.nan)],
+                             ids=["both", "first", "second"])
+    def test_fitted_validation_refuses_nan(self, dist):
+        space = space_of(2, 2)
+        with pytest.raises(st.InvalidArgumentError):
+            st.StagedTree(space, ((0, 0),), fitted=({0: (0.7, 0.3)}, {0: dist}))
 
 
 class TestStagingRefines:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import tracemalloc
@@ -279,6 +280,28 @@ class TestModelDocument:
                 load(path)
             with pytest.raises(st.InvalidArgumentError):
                 load(tmp_path / "absent.json")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["fitted", "score", "trace"])
+    def test_non_finite_numbers_rejected(self, titanic, titanic_bn_tree, field, value):
+        doc = json.loads(self.full_document(titanic, titanic_bn_tree).to_json())
+        if field == "fitted":
+            doc["fitted"][1][0] = [value, value]
+        elif field == "score":
+            doc["score"]["bic"] = value
+        else:
+            doc["trace"][0]["score_after"] = value
+        # json.dumps writes NaN, Infinity and -Infinity, tokens json.loads accepts
+        with pytest.raises(st.InvalidArgumentError, match="non-finite"):
+            st.ModelDocument.from_json(json.dumps(doc))
+
+    def test_overflowing_number_rejected(self, titanic, titanic_bn_tree):
+        text = self.full_document(titanic, titanic_bn_tree).to_json()
+        bic = json.dumps(json.loads(text)["score"]["bic"])
+        with pytest.raises(st.InvalidArgumentError, match="non-finite"):
+            st.ModelDocument.from_json(text.replace(bic, "1e999"))
+        with pytest.raises(st.InvalidArgumentError, match="out of range"):
+            st.ModelDocument.from_json(text.replace(bic, "1" * 400))
 
     def test_float_precision_survives(self, tmp_path, titanic, titanic_bn_tree):
         doc = self.full_document(titanic, titanic_bn_tree)

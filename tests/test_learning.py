@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as hs
 
 import stagetrees as st
-from stagetrees.learning import _column_merge_groups, _merged_loglik
+from stagetrees.learning import (_column_joins, _column_merge_groups, _merged_loglik, _pair_joins,
+                                 _search_level, _vertex_moves)
 
 from conftest import draw_level, random_space, random_dataset
 from oracles import (bhc_by_pairs, column_merge_groups_by_full_walk, enumerate_orders_by_permutations,
@@ -311,6 +312,27 @@ PINNED_ORDER_COUNTS = {
 }
 
 
+# enumerate_orders on Titanic: (algo, fixed_last) -> (order, stage vectors, BIC)
+TITANIC_BHC_ORDER = (("Class", "Survived", "Gender", "Age"), [
+    (0, 1, 2, 2), (0, 1, 0, 1, 2, 3, 4, 0), (0, 0, 1, 0, 0, 0, 2, 3, 1, 3, 3, 3, 0, 0, 0, 0),
+], 10431.852088236772)
+TITANIC_HC_ORDER = (("Class", "Survived", "Gender", "Age"), [
+    (0, 1, 2, 2), (0, 1, 0, 1, 2, 3, 4, 0), (0, 0, 1, 0, 0, 0, 2, 1, 1, 1, 1, 1, 0, 0, 0, 0),
+], 10434.033434676285)
+PINNED_TITANIC_ORDERS = {
+    ("bhc", None): TITANIC_BHC_ORDER,
+    ("bhc", "Age"): TITANIC_BHC_ORDER,
+    ("hc", None): TITANIC_HC_ORDER,
+    ("hc", "Age"): TITANIC_HC_ORDER,
+    ("csbhc", None): (("Class", "Age", "Gender", "Survived"), [
+        (0, 1, 2, 3), (0, 0, 0, 0, 0, 1, 0, 2), (0, 0, 1, 0, 2, 2, 3, 2, 4, 5, 4, 5, 6, 6, 6, 7),
+    ], 10460.339797739292),
+    ("csbhc", "Age"): (("Class", "Gender", "Survived", "Age"), [
+        (0, 1, 2, 3), (0, 1, 2, 3, 4, 5, 6, 7), (0, 0, 1, 0, 2, 3, 1, 1, 1, 1, 1, 1, 4, 4, 1, 4),
+    ], 10484.109006284863),
+}
+
+
 def pinned_order_data(key: str) -> st.Dataset:
     """The pinned counts over binary x1..xp."""
     counts = PINNED_ORDER_COUNTS[key]
@@ -423,6 +445,53 @@ class TestEnumerateOrders:
         natural, _ = st.bhc(st.StagedTree.saturated(titanic.space), titanic)
         best = st.score(tree, titanic.reorder(order)).bic
         assert best <= st.score(natural, titanic).bic + 1e-9
+
+    @pytest.mark.parametrize("algo,fixed", sorted(PINNED_TITANIC_ORDERS, key=str))
+    def test_titanic_pinned(self, titanic, algo, fixed):
+        order, vectors, bic = PINNED_TITANIC_ORDERS[algo, fixed]
+        found, tree = st.enumerate_orders(titanic, fixed_last=fixed, algo=algo)
+        assert found == order
+        assert [tree.symbols_at(d) for d in range(1, tree.p)] == vectors
+        assert st.score(tree, titanic.reorder(order)).bic == pytest.approx(bic, abs=1e-9)
+
+
+def level_term(table, assign, penalty) -> float:
+    """-2 logL + stages * penalty of a staging, summed stage by stage."""
+    loglik = 0.0
+    for stage in set(assign.tolist()):
+        counts = table[assign == stage].sum(axis=0)
+        loglik += sum(c * math.log(c / counts.sum()) for c in counts if c > 0)
+    return -2.0 * loglik + len(set(assign.tolist())) * penalty
+
+
+class TestSearchLevel:
+    TABLE = np.array([[36, 3], [0, 20], [2, 0], [151, 11], [3, 5], [6, 39], [13, 65],
+                      [51, 12]], dtype=np.float64)
+
+    @pytest.mark.parametrize("moves,start", [(_pair_joins, "saturated"),
+                                             (_vertex_moves, "one-stage"),
+                                             (_column_joins, "saturated")],
+                             ids=["bhc", "hc", "csbhc"])
+    def test_term_of_the_returned_staging(self, moves, start):
+        penalty = math.log(self.TABLE.sum())
+
+        def start_ids():
+            return np.arange(8) if start == "saturated" else np.zeros(8, dtype=np.int64)
+
+        def search(max_iter):
+            return _search_level(moves, self.TABLE, (2, 2, 2), penalty, start_ids(), max_iter)
+
+        assign, none, start_term = search(0)
+        assert none == [] and assign.tolist() == start_ids().tolist()
+        assert start_term == pytest.approx(level_term(self.TABLE, assign, penalty), abs=1e-9)
+        assign, taken, term = search(None)
+        assert len(taken) > 1  # so that max_iter = 1 stops the search early
+        assert term == pytest.approx(level_term(self.TABLE, assign, penalty), abs=1e-9)
+        assert term == pytest.approx(start_term + sum(delta for _, _, delta in taken), abs=1e-9)
+        assign, first, term = search(1)
+        assert first == taken[:1]
+        assert term == pytest.approx(level_term(self.TABLE, assign, penalty), abs=1e-9)
+        assert term == pytest.approx(start_term + first[0][2], abs=1e-9)
 
 
 # Exact output of the three searches from their default starts on Titanic and

@@ -1,0 +1,15 @@
+"""The README's code examples run as written."""
+from __future__ import annotations
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_python_blocks_run(capsys):
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {"__name__": "readme_example"})
+    assert capsys.readouterr().out
