@@ -24,7 +24,7 @@ from .core import (
     SampleSpace,
     StagedTree,
 )
-from .learning import SearchTrace, TraceStep
+from .learning import MOVE_KINDS, SearchTrace, TraceStep
 from .scoring import ScoreReport
 
 __all__ = [
@@ -261,10 +261,24 @@ def _real(value) -> float:
         raise InvalidArgumentError(f"number {value} out of range") from None
 
 
+def _str(value) -> str:
+    """A field that must be a JSON string: numbers, bools and null are refused."""
+    if type(value) is not str:
+        raise InvalidArgumentError(f"expected a string, got {value!r}")
+    return value
+
+
 def _array(value) -> list:
     """A field that must be a JSON array."""
     if type(value) is not list:
         raise InvalidArgumentError(f"expected an array, got {value!r}")
+    return value
+
+
+def _move_kind(value) -> str:
+    """A trace step's kind: one of the search's move kinds."""
+    if value not in MOVE_KINDS:
+        raise InvalidArgumentError(f"unknown move kind {value!r}")
     return value
 
 
@@ -296,7 +310,8 @@ def _space_json(space: SampleSpace) -> list:
 
 def _space_from_json(payload) -> SampleSpace:
     try:
-        return SampleSpace(tuple((v["name"], tuple(_array(v["levels"]))) for v in payload))
+        return SampleSpace(tuple((_str(v["name"]), tuple(map(_str, _array(v["levels"]))))
+                                 for v in payload))
     except (TypeError, KeyError) as err:
         raise InvalidArgumentError(f"malformed variables section: {err}") from None
 
@@ -403,7 +418,7 @@ class ModelDocument:
             trace = None
             if doc.get("trace") is not None:
                 trace = SearchTrace(tuple(
-                    TraceStep(_int(t["level"]), str(t["kind"]),
+                    TraceStep(_int(t["level"]), _move_kind(t["kind"]),
                               tuple(_int(s) for s in t["stages"]),
                               _real(t["score_before"]), _real(t["score_after"]))
                     for t in doc["trace"]))
@@ -435,7 +450,7 @@ def load_dag(path):
         dag = Dag(_int(doc["p"]), frozenset((_int(j), _int(i)) for j, i in doc["edges"]))
         names = doc.get("variables")
         if names is not None:
-            names = [str(x) for x in _array(names)]
+            names = [_str(x) for x in _array(names)]
             if len(names) != dag.p:
                 raise InvalidArgumentError("wrong number of variable names")
     except (TypeError, KeyError, ValueError) as err:

@@ -2,7 +2,10 @@
 
 `bhc`, `hc`, `csbhc` and `learn_dag` share one steepest-descent engine and
 differ only in the moves they score, level by level, as one array of score
-deltas (`learn_dag` toggles one parent of the level's variable).  The pick
+deltas (`learn_dag` toggles one parent of the level's variable).  `bhc`
+scores its S x S matrix of pair joins once per level and, after each join,
+rescores only the joined stage's row and column; the other moves are
+rescored in full each step.  The pick
 rule: among the candidates whose delta lies within TIE_TOLERANCE = 1e-9 of
 the smallest, the one with the smallest affected ids wins, and it is applied
 if its delta is below -1e-9.  Deltas that are equal in exact arithmetic
@@ -81,10 +84,14 @@ class SearchConfig:
             object.__setattr__(self, "scope", tuple(sorted(set(self.scope))))
 
 
+# the kinds of move a search trace records
+MOVE_KINDS = ("join", "split", "column-join", "add-parent", "drop-parent")
+
+
 @dataclass(frozen=True)
 class TraceStep:
     level: int
-    kind: str  # "join", "split", "column-join", "add-parent" or "drop-parent"
+    kind: str  # one of MOVE_KINDS
     stages: tuple
     score_before: float
     score_after: float
@@ -147,15 +154,33 @@ def _merged_loglik(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pair_joins(table, sizes, penalty, assign, stage_of, ids, counts, loglik):
-    """bhc candidates: join stages s1 < s2, the upper triangle of an S x S matrix."""
-    # in place, so the S x S matrix is the only full-size array
-    deltas = _merged_loglik(counts, counts)
-    deltas -= loglik[:, None]
-    deltas -= loglik
-    deltas *= -2.0
-    deltas -= penalty
-    deltas[np.tril_indices(len(ids))] = np.inf
+def _pair_joins(table, sizes, penalty, assign, stage_of, ids, counts, loglik, last):
+    """bhc candidates: join stages s1 < s2, the upper triangle of an S x S matrix.
+
+    The matrix is scored in full on a level's first pass only.  After the
+    join (s1, s2), the last matrix loses s2's row and column and only s1's
+    row and column are rescored: every other entry is the same float
+    expression of the same counts as in a full rescan, so it keeps its value.
+    """
+    if last is None:
+        # in place, so the S x S matrix is the only full-size array
+        deltas = _merged_loglik(counts, counts)
+        deltas -= loglik[:, None]
+        deltas -= loglik
+        deltas *= -2.0
+        deltas -= penalty
+        deltas[np.tril_indices(len(ids))] = np.inf
+    else:
+        previous, (s1, s2) = last
+        # s2 has left ids, and searchsorted finds the position it held
+        a, b = np.searchsorted(ids, (s1, s2))
+        deltas = np.empty((len(ids), len(ids)))
+        deltas[:b, :b], deltas[:b, b:] = previous[:b, :b], previous[:b, b + 1:]
+        deltas[b:, :b], deltas[b:, b:] = previous[b + 1:, :b], previous[b + 1:, b + 1:]
+        # the full build's expression, operation for operation, so the values match bit for bit
+        merged = _loglik(counts[a] + counts)
+        deltas[a, a + 1:] = ((merged[a + 1:] - loglik[a]) - loglik[a + 1:]) * -2.0 - penalty
+        deltas[:a, a] = ((merged[:a] - loglik[:a]) - loglik[a]) * -2.0 - penalty
 
     def move(best):
         s1, s2 = (int(ids[i]) for i in divmod(best, len(ids)))
@@ -163,7 +188,7 @@ def _pair_joins(table, sizes, penalty, assign, stage_of, ids, counts, loglik):
     return deltas, move
 
 
-def _vertex_moves(table, sizes, penalty, assign, src, ids, counts, loglik):
+def _vertex_moves(table, sizes, penalty, assign, src, ids, counts, loglik, last):
     """hc candidates: move one vertex to another stage or to a fresh singleton.
 
     Row v holds vertex v's moves to every stage in id order, then to the
@@ -214,7 +239,7 @@ def _column_merge_groups(sizes_prefix, symbols) -> np.ndarray:
     return groups[keep]
 
 
-def _column_joins(table, sizes, penalty, assign, stage_of, ids, counts, loglik):
+def _column_joins(table, sizes, penalty, assign, stage_of, ids, counts, loglik, last):
     """csbhc candidates: merge the stages of one context column, groups in sorted order."""
     # stage indices into ids; the -1 pad indexes an appended empty stage
     rows = _column_merge_groups(sizes, stage_of)
@@ -238,7 +263,8 @@ def _dag_parents(assign, sizes):
     return {j for j in range(len(sizes)) if assign[math.prod(sizes[j + 1:])] != 0}
 
 
-def _parent_toggles(table, sizes, penalty, assign, stage_of, ids, counts, loglik, sink=None):
+def _parent_toggles(table, sizes, penalty, assign, stage_of, ids, counts, loglik, last,
+                    sink=None):
     """learn_dag candidates: the level's DAG staging with parent j toggled, j in id order.
 
     The sink is never a parent; a move relabels the whole level.
@@ -264,28 +290,33 @@ def _search_level(candidates, table, sizes, penalty, assign, max_iter):
     `candidates` is called with the level table, the level counts of the
     preceding variables, the score cost of one more stage, the stage id of
     every vertex and its index into the sorted stage ids, those ids with
-    their S x K count matrix and log-likelihoods; it returns the deltas,
-    laid out in tie order, and a function that turns the picked index into
-    (kind, stages, vertices to relabel, their new id or ids).  `assign` is
+    their S x K count matrix and log-likelihoods, and the last pass's
+    (deltas, stages of the move taken), None on the first pass; it returns
+    the deltas, laid out in tie order, and a function that turns the
+    picked index into (kind, stages, vertices to relabel, their new id or
+    ids).  Only `_pair_joins` reads the last pass; the other move sets
+    change shape with every move and are scored afresh.  `assign` is
     updated in place; each move is returned as (kind, stages, score delta),
     at most `max_iter` of them (0 scores the start).  The term is the
     level's share of the score, -2 logL + stages * penalty, at the final
     assignment.
     """
-    moves = []
+    moves, last = [], None
     while True:
         ids, stage_of = np.unique(assign, return_inverse=True)
         counts = _stage_counts(table, stage_of, len(ids))
         loglik = _loglik(counts)
         if max_iter is not None and len(moves) >= max_iter:
             break
-        deltas, move = candidates(table, sizes, penalty, assign, stage_of, ids, counts, loglik)
+        deltas, move = candidates(table, sizes, penalty, assign, stage_of, ids, counts, loglik,
+                                  last)
         best = _pick(deltas)
         if best is None:
             break
         kind, stages, rows, dest = move(best)
         assign[rows] = dest
         moves.append((kind, stages, float(deltas.flat[best])))
+        last = deltas, stages
     return assign, moves, -2.0 * float(loglik.sum()) + len(ids) * penalty
 
 
@@ -325,7 +356,10 @@ def bhc(start: StagedTree, data: Dataset, cfg: SearchConfig = SearchConfig()):
     """Backward hill-climb: repeatedly join the best pair of stages per level.
 
     Join-only, so the result is always a coarsening of the start
-    (staging_refines(start, result) holds).  A level whose S x S candidate
+    (staging_refines(start, result) holds).  Each level scores its S x S
+    matrix of pair joins once; after a join only the pairs of the joined
+    stage are rescored, O(S * K) work for K levels, and the result equals
+    that of a full rescan after every join.  A level whose S x S candidate
     matrix would exceed MAX_CELLS entries raises UnsupportedSizeError before
     any level is searched.
     """

@@ -2,12 +2,16 @@
 
 Each function here recomputes a quantity the package produces by a
 different algorithm, from first principles and with different data
-structures, so agreement is meaningful.
+structures, so agreement is meaningful.  The exception is
+`bhc_level_by_rescan`, which shares the package's float expressions on
+purpose: it checks that a cached search changes no bit of the result.
 """
 from __future__ import annotations
 
 import itertools
 import math
+
+import numpy as np
 
 
 def edge_label_brute_force(tree, j: int, i: int) -> str | None:
@@ -152,6 +156,41 @@ def bhc_by_pairs(data, tolerance: float = 1e-9, improvement: float = 1e-9):
         first: dict[int, int] = {}
         vectors.append(tuple(first.setdefault(s, len(first)) for s in stage))
     return moves, vectors
+
+
+def bhc_level_by_rescan(table, penalty: float, assign, max_iter=None):
+    """One bhc level that rescores every pair of stages after each join.
+
+    This is the level loop the search engine ran before it kept its delta
+    matrix between steps: each pass recounts the stages and scores the full
+    S x S matrix of joins with the package's own float expressions, so a
+    cached search must agree with it bit for bit, not approximately.
+    `assign` is updated in place; returns it, the moves as ("join", (s1,
+    s2), delta) and the level's term -2 logL + stages * penalty, as
+    `learning._search_level` does.
+    """
+    from stagetrees.learning import _merged_loglik, _pick
+    from stagetrees.scoring import _loglik, _stage_counts
+    moves = []
+    while True:
+        ids, stage_of = np.unique(assign, return_inverse=True)
+        counts = _stage_counts(table, stage_of, len(ids))
+        loglik = _loglik(counts)
+        if max_iter is not None and len(moves) >= max_iter:
+            break
+        deltas = _merged_loglik(counts, counts)
+        deltas -= loglik[:, None]
+        deltas -= loglik
+        deltas *= -2.0
+        deltas -= penalty
+        deltas[np.tril_indices(len(ids))] = np.inf
+        best = _pick(deltas)
+        if best is None:
+            break
+        s1, s2 = (int(ids[i]) for i in divmod(best, len(ids)))
+        assign[assign == s2] = s1
+        moves.append(("join", (s1, s2), float(deltas.flat[best])))
+    return assign, moves, -2.0 * float(loglik.sum()) + len(ids) * penalty
 
 
 def learn_dag_by_global_toggles(data, score: str = "bic", sink=None,

@@ -492,9 +492,14 @@ class TestDocumentFieldTypes:
         (("score", "bic"), "10432.8"),
         (("trace", 0, "level"), 1.0),
         (("trace", 0, "stages", 1), 1.0),
+        (("variables", 0, "name"), 7),
+        (("variables", 3, "levels"), [1, 2]),
+        (("trace", 0, "kind"), 5),
+        (("trace", 0, "kind"), "teleport"),
     ], ids=["version-true", "version-float", "levels-string", "stage-float", "stage-string",
             "stage-bool", "probability-string", "probability-bool", "edge-float", "df-float",
-            "n-string", "bic-string", "trace-level-float", "trace-stage-float"])
+            "n-string", "bic-string", "trace-level-float", "trace-stage-float", "name-number",
+            "level-numbers", "trace-kind-number", "trace-kind-unknown"])
     def test_model(self, capsys, tmp_path, titanic_csv, titanic_model, keys, value):
         model = tmp_path / "bad.json"
         model.write_text(json.dumps(set_at(titanic_model, keys, value)))
@@ -510,8 +515,9 @@ class TestDocumentFieldTypes:
         (("edges", 0, 0), 0.7),
         (("edges", 0, 0), "0"),
         (("variables",), "ab"),
+        (("variables", 0), 7),
     ], ids=["version-true", "p-float", "p-string", "edge-float", "edge-string",
-            "names-string"])
+            "names-string", "name-number"])
     def test_dag(self, capsys, tmp_path, keys, value):
         dag = tmp_path / "dag.json"
         good = {"format_version": 1, "p": 2, "variables": ["a", "b"], "edges": [[0, 1]]}
@@ -523,7 +529,9 @@ class TestDocumentFieldTypes:
     @pytest.mark.parametrize("keys,value", [
         (("format_version",), 1.0),
         (("variables", 0, "levels"), "xyz"),
-    ], ids=["version-float", "levels-string"])
+        (("variables", 0, "name"), 7),
+        (("variables", 1, "levels"), [0, 1]),
+    ], ids=["version-float", "levels-string", "name-number", "level-numbers"])
     def test_space(self, capsys, tmp_path, keys, value):
         dag = tmp_path / "dag.json"
         st.save_dag(st.Dag.empty(2), dag)
@@ -533,5 +541,17 @@ class TestDocumentFieldTypes:
         space.write_text(json.dumps(set_at(good, keys, value)))
         code, _, err = run(capsys, "convert", "--dag", str(dag), "--space", str(space),
                            "--out", str(tmp_path / "m.json"))
+        assert code == 4
+        assert json.loads(err)["code"] == "InvalidArgumentError"
+
+    @pytest.mark.parametrize("names", [[0, 1, 2, 3], ["Class", "Gender", "Survived", None]],
+                             ids=["numbers", "null"])
+    def test_refine_dag_names(self, capsys, tmp_path, titanic_csv, names):
+        # a name that is not a string is a malformed document, not an unknown column
+        dag = tmp_path / "dag.json"
+        dag.write_text(json.dumps({"format_version": 1, "p": 4, "variables": names,
+                                   "edges": [[0, 2]]}))
+        code, _, err = run(capsys, "refine", "--dag", str(dag), "--data", titanic_csv,
+                           "--count-column", "count", "--out", str(tmp_path / "m.json"))
         assert code == 4
         assert json.loads(err)["code"] == "InvalidArgumentError"

@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as hs
 
 import stagetrees as st
+from stagetrees import learning
 from stagetrees.learning import (_column_joins, _column_merge_groups, _merged_loglik, _pair_joins,
                                  _search_level, _vertex_moves)
 
 from conftest import draw_level, random_space, random_dataset
-from oracles import (bhc_by_pairs, column_merge_groups_by_full_walk, enumerate_orders_by_permutations,
-                     index_order_objective_by_permutations, learn_dag_by_global_toggles)
+from oracles import (bhc_by_pairs, bhc_level_by_rescan, column_merge_groups_by_full_walk,
+                     enumerate_orders_by_permutations, index_order_objective_by_permutations,
+                     learn_dag_by_global_toggles)
 
 L = st.DependenceLabel
 
@@ -492,6 +494,66 @@ class TestSearchLevel:
         assert first == taken[:1]
         assert term == pytest.approx(level_term(self.TABLE, assign, penalty), abs=1e-9)
         assert term == pytest.approx(start_term + first[0][2], abs=1e-9)
+
+
+class TestPairJoinCache:
+    """bhc keeps a level's delta matrix between joins and rescores only the joined stage."""
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(hs.data())
+    def test_matches_full_rescan(self, draw):
+        sizes = tuple(draw.draw(hs.lists(hs.integers(2, 4), min_size=1, max_size=3)))
+        k = draw.draw(hs.integers(2, 9))  # eight or more levels take _loglik's packed sums
+        base = draw.draw(hs.lists(hs.integers(0, 9), min_size=k, max_size=k))
+        rows = []
+        for _ in range(math.prod(sizes)):
+            # zero, proportional and repeated rows tie exactly; free rows do not
+            kind = draw.draw(hs.sampled_from(["zero", "proportional", "repeat", "free"]))
+            if kind == "zero":
+                rows.append([0] * k)
+            elif kind == "proportional":
+                rows.append([draw.draw(hs.integers(1, 50)) * b for b in base])
+            elif kind == "repeat" and rows:
+                rows.append(draw.draw(hs.sampled_from(rows)))
+            else:
+                rows.append(draw.draw(hs.lists(hs.integers(0, 30), min_size=k, max_size=k)))
+        table = np.array(rows, dtype=np.float64)
+        penalty = (k - 1) * math.log(max(table.sum(), 2.0))
+        if draw.draw(hs.booleans()):
+            start = np.arange(len(table))
+        else:
+            # the staging of a DAG's parent set, as refine starts from
+            parents = draw.draw(hs.sets(hs.integers(0, len(sizes) - 1)))
+            dag = st.Dag(len(sizes) + 1, frozenset((j, len(sizes)) for j in parents))
+            start = np.array(st.dag_to_staged_tree(dag, space_of(*sizes, k)).symbols_at(len(sizes)))
+        max_iter = draw.draw(hs.sampled_from([None, 1, 3]))
+        assign, moves, term = _search_level(_pair_joins, table, sizes, penalty, start.copy(),
+                                            max_iter)
+        want_assign, want_moves, want_term = bhc_level_by_rescan(table, penalty, start.copy(),
+                                                                 max_iter)
+        assert assign.tolist() == want_assign.tolist()
+        assert moves == want_moves  # float deltas compared with ==
+        assert term == want_term
+
+    def test_rows_scored_follow_the_joins(self, monkeypatch):
+        # 64 saturated stages drawn from three distributions, so that bhc
+        # makes many joins; a full rescan after each join scores about
+        # S^2 rows per move, the cache S^2 once and O(S) rows per move
+        rng = np.random.default_rng(3)
+        shapes = rng.dirichlet(np.ones(4), size=3)
+        table = np.array([rng.multinomial(60, shapes[i]) for i in rng.integers(0, 3, size=64)],
+                         dtype=np.float64)
+        scored = []
+
+        def counting(counts, *args):
+            scored.append(math.prod(counts.shape[:-1]))
+            return st.scoring._loglik(counts, *args)
+        monkeypatch.setattr(learning, "_loglik", counting)
+        _, moves, _ = _search_level(_pair_joins, table, (2,) * 6, 3 * math.log(table.sum()),
+                                    np.arange(64), None)
+        stages = 64
+        assert len(moves) >= 40
+        assert sum(scored) <= stages ** 2 + 3 * stages * (len(moves) + 1)
 
 
 # Exact output of the three searches from their default starts on Titanic and
