@@ -11,6 +11,7 @@ independent cross-check of the fast classification.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Hashable, Sequence
 
@@ -263,7 +264,8 @@ def d_separated(dag: Dag, a, b, c=()) -> bool:
         raise InvalidArgumentError("query sets must be disjoint")
     if not setA or not setB:
         return True
-    parents = {i: set() for i in range(dag.p)}
+    # filled from the edges: a vertex set of size p could far outgrow them
+    parents: defaultdict[int, set[int]] = defaultdict(set)
     for j, i in dag.edges:
         parents[i].add(j)
     ancestral = set()

@@ -46,6 +46,10 @@ PROB_TOL = 1e-9
 # vectors are dense over the cells, and 2**24 cells is 128 MB of int64 counts
 MAX_CELLS = 1 << 24
 
+# largest sample size accepted: level tables hold counts as float64, whose
+# integers are exact only up to 2**53, and the searches' tie rule needs them exact
+MAX_COUNT = 1 << 53
+
 
 class InvalidArgumentError(ValueError):
     """An argument violates a documented precondition."""
@@ -404,12 +408,19 @@ class Dataset:
     counts: np.ndarray
 
     def __post_init__(self) -> None:
-        counts = np.asarray(self.counts, dtype=np.int64).reshape(-1).copy()
+        try:
+            counts = np.asarray(self.counts, dtype=np.int64).reshape(-1).copy()
+        except OverflowError:
+            raise InvalidArgumentError("a count is out of the int64 range") from None
         if counts.shape[0] != self.space.n_cells:
             raise InvalidArgumentError(
                 f"expected {self.space.n_cells} cells, got {counts.shape[0]}")
         if (counts < 0).any():
             raise InvalidArgumentError("negative counts")
+        # the float64 sum is within rounding of the total, so when it is at most
+        # MAX_COUNT the int64 sum cannot have wrapped and decides exactly
+        if counts.sum(dtype=np.float64) > MAX_COUNT or counts.sum() > MAX_COUNT:
+            raise InvalidArgumentError(f"the counts total more than {MAX_COUNT}")
         counts.flags.writeable = False
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "_tables", {})
@@ -418,7 +429,14 @@ class Dataset:
     def from_config_counts(cls, space: SampleSpace,
                            items: Iterable[tuple[Sequence[int], int]]) -> "Dataset":
         counts = np.zeros(space.n_cells, dtype=np.int64)
+        total = 0
         for config, c in items:
+            # checked before the int64 addition can overflow or wrap
+            if c < 0:
+                raise InvalidArgumentError("negative counts")
+            total += c
+            if total > MAX_COUNT:
+                raise InvalidArgumentError(f"the counts total more than {MAX_COUNT}")
             counts[lex_index(space, config)] += c
         return cls(space, counts)
 

@@ -1,8 +1,8 @@
 """File formats: CSV ingestion, JSON model documents, DOT rendering.
 
 The JSON writers emit a canonical byte form (fixed key order, no
-whitespace, floats at 17 significant digits) so that save -> load -> save
-reproduces the file exactly.
+whitespace, floats in Python's shortest round-trip spelling) so that
+save -> load -> save reproduces the file exactly.
 """
 from __future__ import annotations
 
@@ -21,8 +21,10 @@ from .core import (
     Dataset,
     DependenceLabel,
     InvalidArgumentError,
+    MAX_COUNT,
     SampleSpace,
     StagedTree,
+    UnsupportedSizeError,
 )
 from .learning import MOVE_KINDS, SearchTrace, TraceStep
 from .scoring import ScoreReport
@@ -166,8 +168,12 @@ def read_csv(path, header: bool = True, order=None, na_policy: str = "drop-row",
                 tally[values] = tally.get(values, 0) + count
     except (OSError, UnicodeDecodeError, csv.Error) as err:
         raise DataError("unreadable", f"cannot read {path}: {err}") from None
-    if not sum(tally.values()):
+    total = sum(tally.values())
+    if not total:
         raise DataError("empty", f"{path}: no complete observations")
+    if total > MAX_COUNT:
+        raise DataError("bad-count", f"{path}: the counts total {total}, more than the "
+                        f"{MAX_COUNT} supported")
 
     levels = dict(levels or {})
     for name in levels:
@@ -195,31 +201,7 @@ def read_csv(path, header: bool = True, order=None, na_policy: str = "drop-row",
 
 
 # ---------------------------------------------------------------------------
-# canonical JSON
-
-def _float_token(x: float) -> str:
-    if x != x or x in (float("inf"), float("-inf")):
-        raise InvalidArgumentError("cannot serialize non-finite numbers")
-    return "%.17g" % x
-
-
-def _dump(obj) -> str:
-    if obj is None:
-        return "null"
-    if obj is True or obj is False:
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _float_token(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(_dump(v) for v in obj) + "]"
-    if isinstance(obj, dict):
-        return "{" + ",".join(json.dumps(str(k)) + ":" + _dump(v) for k, v in obj.items()) + "}"
-    raise InvalidArgumentError(f"cannot serialize {type(obj).__name__}")
-
+# JSON documents
 
 def _atomic_write(path, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
@@ -234,6 +216,44 @@ def _atomic_write(path, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+def _encode(body: dict) -> str:
+    """A document's canonical text: the format version first, then `body`'s fields."""
+    try:
+        return json.dumps({"format_version": FORMAT_VERSION, **body},
+                          separators=(",", ":"), allow_nan=False) + "\n"
+    except ValueError:
+        raise InvalidArgumentError("cannot serialize non-finite numbers") from None
+
+
+def _decode(text: str, what: str, build):
+    """Parse a document, check its format version and `build` the object it holds.
+
+    The one error boundary of the loaders: InvalidArgumentError and
+    UnsupportedSizeError pass through, and any other failure of a field
+    lookup or conversion is an InvalidArgumentError naming the document kind.
+    """
+    try:
+        doc = json.loads(text, parse_float=_finite, parse_constant=_finite)
+        version = doc.get("format_version") if type(doc) is dict else None
+        if type(version) is not int or version != FORMAT_VERSION:
+            raise InvalidArgumentError("unsupported or missing format_version")
+        return build(doc)
+    except (InvalidArgumentError, UnsupportedSizeError):
+        raise
+    except (TypeError, KeyError, ValueError) as err:
+        raise InvalidArgumentError(f"malformed {what} document: {err}") from None
+
+
+def _load(path, what: str, build):
+    """`_decode` the document in a file; an unreadable file is an InvalidArgumentError."""
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as err:
+        raise InvalidArgumentError(f"cannot read {what} {path}: {err}") from None
+    return _decode(text, what, build)
 
 
 def _finite(token: str) -> float:
@@ -282,38 +302,13 @@ def _move_kind(value) -> str:
     return value
 
 
-def _parse_document(text: str) -> dict:
-    """Decode a JSON document of finite numbers and check its format version."""
-    try:
-        doc = json.loads(text, parse_float=_finite, parse_constant=_finite)
-    except json.JSONDecodeError as err:
-        raise InvalidArgumentError(f"not valid JSON: {err}") from None
-    version = doc.get("format_version") if isinstance(doc, dict) else None
-    if type(version) is not int or version != FORMAT_VERSION:
-        raise InvalidArgumentError("unsupported or missing format_version")
-    return doc
-
-
-def _read_document(path, what: str) -> dict:
-    """Read a versioned JSON document; every failure is an InvalidArgumentError."""
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as err:
-        raise InvalidArgumentError(f"cannot read {what} {path}: {err}") from None
-    return _parse_document(text)
-
-
 def _space_json(space: SampleSpace) -> list:
     return [{"name": name, "levels": list(lv)} for name, lv in space.variables]
 
 
 def _space_from_json(payload) -> SampleSpace:
-    try:
-        return SampleSpace(tuple((_str(v["name"]), tuple(map(_str, _array(v["levels"]))))
-                                 for v in payload))
-    except (TypeError, KeyError) as err:
-        raise InvalidArgumentError(f"malformed variables section: {err}") from None
+    return SampleSpace(tuple((_str(v["name"]), tuple(map(_str, _array(v["levels"]))))
+                             for v in payload))
 
 
 def _score_json(report: ScoreReport) -> dict:
@@ -344,88 +339,63 @@ class ModelDocument:
             raise InvalidArgumentError("labeled DAG and tree have different dimension")
 
     def to_json(self) -> str:
-        tree = self.tree
-        doc: dict = {
-            "format_version": FORMAT_VERSION,
+        tree, aldag, trace = self.tree, self.aldag, self.trace
+        return _encode({
             "variables": _space_json(tree.space),
             "stage_vectors": [list(symbols) for symbols in tree.stage_vectors],
-        }
-        if tree.fitted is None:
-            doc["fitted"] = None
-        else:
-            out = []
-            for d, entry in enumerate(tree.fitted):
-                if entry is None:
-                    out.append(None)
-                else:
-                    out.append([list(entry[s]) for s in range(len(entry))])
-            doc["fitted"] = out
-        if self.aldag is None:
-            doc["aldag"] = None
-        else:
-            doc["aldag"] = {"edges": [[j, i, self.aldag.labels[(j, i)].value]
-                                      for j, i in self.aldag.dag.sorted_edges]}
-        doc["score"] = None if self.score is None else _score_json(self.score)
-        if self.trace is None:
-            doc["trace"] = None
-        else:
-            doc["trace"] = [{
-                "level": step.level,
+            "fitted": None if tree.fitted is None else [
+                None if entry is None else [list(entry[s]) for s in range(len(entry))]
+                for entry in tree.fitted],
+            "aldag": None if aldag is None else {"edges": [
+                [j, i, aldag.labels[(j, i)].value] for j, i in aldag.dag.sorted_edges]},
+            "score": None if self.score is None else _score_json(self.score),
+            "trace": None if trace is None else [{
+                "level": int(step.level),
                 "kind": step.kind,
                 "stages": [int(s) for s in step.stages],
                 "score_before": float(step.score_before),
                 "score_after": float(step.score_after),
-            } for step in self.trace.steps]
-        return _dump(doc) + "\n"
+            } for step in trace.steps],
+        })
 
     def save(self, path) -> None:
         _atomic_write(path, self.to_json())
 
     @classmethod
     def from_json(cls, text: str) -> "ModelDocument":
-        return cls._from_document(_parse_document(text))
+        return _decode(text, "model", cls._from_document)
 
     @classmethod
     def load(cls, path) -> "ModelDocument":
-        return cls._from_document(_read_document(path, "model"))
+        return _load(path, "model", cls._from_document)
 
     @classmethod
     def _from_document(cls, doc: dict) -> "ModelDocument":
-        try:
-            space = _space_from_json(doc["variables"])
-            vectors = [[_int(s) for s in symbols] for symbols in doc["stage_vectors"]]
-            fitted = None
-            if doc.get("fitted") is not None:
-                entries = []
-                for level in doc["fitted"]:
-                    if level is None:
-                        entries.append(None)
-                    else:
-                        entries.append({s: tuple(_real(x) for x in dist)
-                                        for s, dist in enumerate(level)})
-                fitted = tuple(entries)
-            tree = StagedTree(space, vectors, fitted)
-            aldag = None
-            if doc.get("aldag") is not None:
-                labels = {(_int(j), _int(i)): DependenceLabel(label)
-                          for j, i, label in doc["aldag"]["edges"]}
-                aldag = Aldag(Dag(space.p, frozenset(labels)), labels)
-            report = None
-            if doc.get("score") is not None:
-                s = doc["score"]
-                report = ScoreReport(_real(s["log_likelihood"]), _int(s["df"]),
-                                     _real(s["bic"]), _real(s["aic"]), _int(s["n"]))
-            trace = None
-            if doc.get("trace") is not None:
-                trace = SearchTrace(tuple(
-                    TraceStep(_int(t["level"]), _move_kind(t["kind"]),
-                              tuple(_int(s) for s in t["stages"]),
-                              _real(t["score_before"]), _real(t["score_after"]))
-                    for t in doc["trace"]))
-        except (TypeError, KeyError, ValueError) as err:
-            if isinstance(err, InvalidArgumentError):
-                raise
-            raise InvalidArgumentError(f"malformed model document: {err}") from None
+        space = _space_from_json(doc["variables"])
+        vectors = [[_int(s) for s in symbols] for symbols in doc["stage_vectors"]]
+        fitted = None
+        if doc.get("fitted") is not None:
+            fitted = tuple(None if level is None else
+                           {s: tuple(_real(x) for x in dist) for s, dist in enumerate(level)}
+                           for level in doc["fitted"])
+        tree = StagedTree(space, vectors, fitted)
+        aldag = None
+        if doc.get("aldag") is not None:
+            labels = {(_int(j), _int(i)): DependenceLabel(label)
+                      for j, i, label in doc["aldag"]["edges"]}
+            aldag = Aldag(Dag(space.p, frozenset(labels)), labels)
+        report = None
+        if doc.get("score") is not None:
+            s = doc["score"]
+            report = ScoreReport(_real(s["log_likelihood"]), _int(s["df"]),
+                                 _real(s["bic"]), _real(s["aic"]), _int(s["n"]))
+        trace = None
+        if doc.get("trace") is not None:
+            trace = SearchTrace(tuple(
+                TraceStep(_int(t["level"]), _move_kind(t["kind"]),
+                          tuple(_int(s) for s in t["stages"]),
+                          _real(t["score_before"]), _real(t["score_after"]))
+                for t in doc["trace"]))
         return cls(tree, aldag, report, trace)
 
 
@@ -433,40 +403,37 @@ class ModelDocument:
 # DAGs and spaces as JSON
 
 def save_dag(dag: Dag, path, names=None) -> None:
-    doc = {"format_version": FORMAT_VERSION, "p": dag.p}
+    doc: dict = {"p": dag.p}
     if names is not None:
         names = list(names)
         if len(names) != dag.p:
             raise InvalidArgumentError("wrong number of variable names")
         doc["variables"] = names
     doc["edges"] = [list(e) for e in dag.sorted_edges]
-    _atomic_write(path, _dump(doc) + "\n")
+    _atomic_write(path, _encode(doc))
+
+
+def _dag_from_json(doc: dict):
+    dag = Dag(_int(doc["p"]), frozenset((_int(j), _int(i)) for j, i in doc["edges"]))
+    names = doc.get("variables")
+    if names is not None:
+        names = [_str(x) for x in _array(names)]
+        if len(names) != dag.p:
+            raise InvalidArgumentError("wrong number of variable names")
+    return dag, names
 
 
 def load_dag(path):
     """Load a DAG document; returns (Dag, names or None)."""
-    doc = _read_document(path, "DAG")
-    try:
-        dag = Dag(_int(doc["p"]), frozenset((_int(j), _int(i)) for j, i in doc["edges"]))
-        names = doc.get("variables")
-        if names is not None:
-            names = [_str(x) for x in _array(names)]
-            if len(names) != dag.p:
-                raise InvalidArgumentError("wrong number of variable names")
-    except (TypeError, KeyError, ValueError) as err:
-        if isinstance(err, InvalidArgumentError):
-            raise
-        raise InvalidArgumentError(f"malformed DAG document: {err}") from None
-    return dag, names
+    return _load(path, "DAG", _dag_from_json)
 
 
 def save_space(space: SampleSpace, path) -> None:
-    _atomic_write(path, _dump({"format_version": FORMAT_VERSION,
-                               "variables": _space_json(space)}) + "\n")
+    _atomic_write(path, _encode({"variables": _space_json(space)}))
 
 
 def load_space(path) -> SampleSpace:
-    return _space_from_json(_read_document(path, "space").get("variables", []))
+    return _load(path, "space", lambda doc: _space_from_json(doc["variables"]))
 
 
 # ---------------------------------------------------------------------------

@@ -418,6 +418,16 @@ class TestErrorChannels:
         assert json.loads(err)["code"] == "UnsupportedSizeError"
         assert peak < 8 * 2**20
 
+    def test_oversized_space_in_model_document(self, capsys, tmp_path, titanic_csv):
+        # the space of the test above, in a model document: the same error
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"format_version": 1, "stage_vectors": [], "variables": [
+            {"name": f"v{i}", "levels": ["0", "1"]} for i in range(40)]}))
+        code, out, err = run(capsys, "score", "--model", str(model),
+                             "--data", titanic_csv, "--count-column", "count")
+        assert (code, out) == (4, "")
+        assert json.loads(err)["code"] == "UnsupportedSizeError"
+
     def test_oversized_order_search_is_model_error(self, capsys, tmp_path, wide_csv):
         # the order search's level tables would hold 16 * 3**15 rows
         tracemalloc.start()
@@ -445,6 +455,34 @@ class TestErrorChannels:
         assert code == 4
         assert json.loads(err)["code"] == "UnsupportedSizeError"
         assert peak < 16 * 2**20  # the saturated start tree takes about 7 MiB
+
+    @pytest.mark.parametrize("counts", [
+        ["1" + "0" * 30, "2"],
+        ["9223372036854775000", "9223372036854775000"],   # their sum wraps int64
+    ], ids=["beyond-int64", "int64-wrap"])
+    def test_count_total_over_2_53_is_data_error(self, capsys, tmp_path, counts):
+        csv = tmp_path / "big.csv"
+        csv.write_text(f"a,b,count\nx,0,{counts[0]}\ny,1,{counts[1]}\n")
+        code, out, err = run(capsys, "learn", "--data", str(csv), "--count-column", "count",
+                             "--out", str(tmp_path / "m.json"))
+        assert (code, out) == (3, "")
+        assert json.loads(err)["code"] == "bad-count"
+
+    def test_dsep_memory_follows_the_edges(self, capsys, tmp_path):
+        # one edge among 10**6 declared vertices: a structure per vertex would take
+        # about 300 MB here, and would exhaust memory at a declared p of 10**12
+        dag = tmp_path / "dag.json"
+        dag.write_text(json.dumps({"format_version": 1, "p": 10**6, "edges": [[0, 1]]}))
+        tracemalloc.start()
+        try:
+            separated = run(capsys, "dsep", "--dag", str(dag), "--a", "0", "--b", "5")
+            connected = run(capsys, "dsep", "--dag", str(dag), "--a", "0", "--b", "1")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert separated == (0, "true\n", "")
+        assert connected == (0, "false\n", "")
+        assert peak < 8 * 2**20
 
 
 @pytest.fixture(scope="module")

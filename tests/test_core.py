@@ -290,6 +290,28 @@ class TestDataset:
         with pytest.raises(st.InvalidArgumentError):
             st.Dataset(space, np.array([1, -1, 0, 0]))
 
+    @pytest.mark.parametrize("counts", [
+        [2**53, 1, 0, 0],
+        [10**30, 0, 0, 0],
+        np.full(4, 2**62, dtype=np.int64),   # the int64 sum wraps to 0
+    ], ids=["just-over", "beyond-int64", "int64-wrap"])
+    def test_total_over_max_count_rejected(self, counts):
+        with pytest.raises(st.InvalidArgumentError, match="total|range"):
+            st.Dataset(space_of(2, 2), counts)
+
+    @pytest.mark.parametrize("items", [
+        [((0, 0), 10**30)],
+        [((0, 0), 9223372036854775000), ((1, 1), 9223372036854775000)],
+        [((0, 0), 2**53), ((0, 0), 1)],
+    ], ids=["beyond-int64", "int64-wrap", "just-over"])
+    def test_config_counts_over_max_count_rejected(self, items):
+        with pytest.raises(st.InvalidArgumentError, match="total"):
+            st.Dataset.from_config_counts(space_of(2, 2), items)
+
+    def test_total_of_max_count_accepted(self):
+        data = st.Dataset.from_config_counts(space_of(2, 2), [((0, 0), 2**53 - 1), ((1, 0), 1)])
+        assert data.n == st.core.MAX_COUNT == 2**53
+
     def test_reorder_by_name_preserves_counts(self, titanic):
         swapped = titanic.reorder(("Age", "Survived", "Gender", "Class"))
         assert swapped.n == titanic.n

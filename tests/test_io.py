@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib.resources
 import json
 import math
 import os
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import stagetrees as st
+from stagetrees.cli import main
 
 L = st.DependenceLabel
 
@@ -39,6 +41,53 @@ def parse_dot(text: str) -> tuple[int, int]:
         else:
             raise AssertionError(f"unparseable DOT statement: {ln}")
     return nodes, edges
+
+
+# Titanic `stagetrees learn --count-column count` document as the writer of
+# format version 1 spelled it before floats took their shortest round-trip
+# form: every float at 17 significant digits
+OLD_LEARN_DOCUMENT = (
+    '{"format_version":1,"variables":[{"name":"Class","levels":["1st","2nd","3rd","Crew"]},'
+    '{"name":"Gender","levels":["Male","Female"]},{"name":"Survived","levels":["No",'
+    '"Yes"]},{"name":"Age","levels":["Child","Adult"]}],"stage_vectors":[[0,0,1,2],[0,1,2,'
+    '3,2,0,4,3],[0,1,0,0,0,2,0,3,1,3,3,3,0,0,0,0]],"fitted":[[[0.14766015447523853,'
+    '0.12948659700136303,0.32076328941390275,0.40208995910949569]],[[0.58852459016393444,'
+    '0.41147540983606556],[0.72237960339943341,0.27762039660056659],[0.97401129943502829,'
+    '0.02598870056497175]],[[0.5957446808510638,0.40425531914893614],[0.027586206896551724,'
+    '0.97241379310344822],[0.83599419448476053,0.16400580551523947],[0.12403100775193798,'
+    '0.87596899224806202],[0.77726218097447797,0.22273781902552203]],'
+    '[[0.00076045627376425851,0.99923954372623569],[0.082644628099173556,'
+    '0.9173553719008265],[0.44,0.56000000000000005],[0.15119363395225463,'
+    '0.8488063660477454]]],"aldag":{"edges":[[0,1,"partial"],[0,2,"partial"],[0,3,'
+    '"partial"],[1,2,"local"],[1,3,"context"],[2,3,"context"]]},'
+    '"score":{"log_likelihood":-5158.696748348616,"df":15,"bic":10432.843502920128,'
+    '"aic":10347.393496697232,"n":2201},"trace":[{"level":1,"kind":"join","stages":[0,1],'
+    '"score_before":10541.630913620364,"score_after":10537.396580702003},{"level":2,'
+    '"kind":"join","stages":[3,7],"score_before":10537.396580702003,'
+    '"score_after":10529.710359615301},{"level":2,"kind":"join","stages":[2,4],'
+    '"score_before":10529.710359615301,"score_after":10523.088390297577},{"level":2,'
+    '"kind":"join","stages":[0,5],"score_before":10523.088390297577,'
+    '"score_after":10520.541300468782},{"level":3,"kind":"join","stages":[0,2],'
+    '"score_before":10520.541300468782,"score_after":10512.844633387254},{"level":3,'
+    '"kind":"join","stages":[0,4],"score_before":10512.844633387254,'
+    '"score_after":10505.147966305727},{"level":3,"kind":"join","stages":[0,6],'
+    '"score_before":10505.147966305727,"score_after":10497.4512992242},{"level":3,'
+    '"kind":"join","stages":[0,12],"score_before":10497.4512992242,'
+    '"score_after":10489.754632142673},{"level":3,"kind":"join","stages":[0,13],'
+    '"score_before":10489.754632142673,"score_after":10482.057965061145},{"level":3,'
+    '"kind":"join","stages":[0,14],"score_before":10482.057965061145,'
+    '"score_after":10474.361297979618},{"level":3,"kind":"join","stages":[0,15],'
+    '"score_before":10474.361297979618,"score_after":10466.664630898091},{"level":3,'
+    '"kind":"join","stages":[1,8],"score_before":10466.664630898091,'
+    '"score_after":10458.971737324138},{"level":3,"kind":"join","stages":[10,11],'
+    '"score_before":10458.971737324138,"score_after":10451.28357544748},{"level":3,'
+    '"kind":"join","stages":[7,9],"score_before":10451.28357544748,'
+    '"score_after":10443.610087553696},{"level":3,"kind":"join","stages":[7,10],'
+    '"score_before":10443.610087553696,"score_after":10436.068157517579},{"level":3,'
+    '"kind":"join","stages":[0,3],"score_before":10436.068157517579,'
+    '"score_after":10432.843502920126}]}'
+    "\n"
+)
 
 
 class TestReadCsv:
@@ -162,6 +211,15 @@ class TestReadCsv:
     def test_bad_count(self, tmp_path):
         f = tmp_path / "d.csv"
         f.write_text("a,b,count\nx,0,three\ny,1,2\n")
+        with pytest.raises(st.DataError) as err:
+            st.read_csv(f, count_column="count")
+        assert err.value.code == "bad-count"
+
+    def test_count_total_limit(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_text(f"a,b,count\nx,0,{2**53 - 1}\ny,1,1\n")
+        assert st.read_csv(f, count_column="count").n == 2**53
+        f.write_text(f"a,b,count\nx,0,{2**53}\ny,1,1\n")
         with pytest.raises(st.DataError) as err:
             st.read_csv(f, count_column="count")
         assert err.value.code == "bad-count"
@@ -295,6 +353,15 @@ class TestModelDocument:
         with pytest.raises(st.InvalidArgumentError, match="non-finite"):
             st.ModelDocument.from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_numbers_not_written(self, tmp_path, titanic, titanic_bn_tree, value):
+        doc = self.full_document(titanic, titanic_bn_tree)
+        report = st.ScoreReport(doc.score.log_likelihood, doc.score.df, value,
+                                doc.score.aic, doc.score.n)
+        with pytest.raises(st.InvalidArgumentError, match="non-finite"):
+            st.ModelDocument(doc.tree, doc.aldag, report, doc.trace).save(tmp_path / "m.json")
+        assert os.listdir(tmp_path) == []
+
     def test_overflowing_number_rejected(self, titanic, titanic_bn_tree):
         text = self.full_document(titanic, titanic_bn_tree).to_json()
         bic = json.dumps(json.loads(text)["score"]["bic"])
@@ -313,6 +380,23 @@ class TestModelDocument:
         for d in range(4):
             for sym, dist in doc.tree.fitted[d].items():
                 assert loaded.tree.fitted[d][sym] == dist
+
+    def test_17_digit_document_loads_unchanged(self, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        with importlib.resources.as_file(
+                importlib.resources.files("stagetrees") / "data" / "titanic.csv") as csv:
+            assert main(["learn", "--data", str(csv), "--count-column", "count",
+                         "--out", str(path)]) == 0
+        capsys.readouterr()
+        text = path.read_text()
+        assert text != OLD_LEARN_DOCUMENT
+        old, new = st.ModelDocument.from_json(OLD_LEARN_DOCUMENT), st.ModelDocument.load(path)
+        assert old == new
+        assert old.score == new.score
+        assert old.trace.steps == new.trace.steps
+        for d in range(new.tree.p):
+            assert old.tree.fitted[d] == new.tree.fitted[d]
+        assert old.to_json() == text
 
 
 class TestDagAndSpaceDocuments:
