@@ -4,9 +4,11 @@
 model.  `staged_tree_to_aldag` inverts that: it finds the minimal DAG whose
 model contains the tree's and labels every surviving edge with the kind of
 dependence the staging leaves in place (total, context, partial,
-context/partial or local).  `classify_edge_oracle` derives the same label by
-brute-force enumeration of conditioning contexts and serves as the
-independent cross-check of the fast classification.
+context/partial or local).  Each edge's label is filed in its `EdgeEvidence`
+beside the witnesses behind it, and the ALDAG is built from those labels
+alone.  `classify_edge_oracle` derives the same label by brute-force
+enumeration of conditioning contexts and serves as the independent
+cross-check of the fast classification.
 """
 from __future__ import annotations
 
@@ -42,17 +44,18 @@ Context = tuple[tuple[int, int], ...]  # ((variable, level), ...) sorted by vari
 
 @dataclass(frozen=True)
 class EdgeEvidence:
-    """What the stage matrix showed for one retained edge (j, i).
+    """The label of one retained edge (j, i) and what the stage matrix showed.
 
-    column_counts / row_counts are the distinct-symbol counts per context
-    column and per level row of the matrix examined for variable j;
-    total_distinct is the number of distinct symbols overall.
+    The record is filed under its edge.  column_counts / row_counts are the
+    distinct-symbol counts per context column and per level row of the
+    matrix examined for variable j; total_distinct is the number of
+    distinct symbols overall.
     context_witnesses lists the contexts whose column was constant;
     partial_witnesses lists (context, level subset) pairs where a strict
     subset of at least two of j's levels shared a symbol.
     """
 
-    edge: tuple[int, int]
+    label: DependenceLabel
     column_counts: tuple[int, ...]
     row_counts: tuple[int, ...]
     total_distinct: int
@@ -129,13 +132,12 @@ def _distinct_per_column(a: np.ndarray) -> np.ndarray:
 def _classify_level(space: SampleSpace, depth: int, symbols: Sequence[int]):
     """One pass of the matrix classification over the depth-`depth` stage vector.
 
-    Returns ({tail j: label}, {tail j: EdgeEvidence}) from the reshapes of
-    `_context_columns`; a tail whose context columns are all constant is no
-    parent and gets no edge.
+    Returns {tail j: EdgeEvidence} from the reshapes of `_context_columns`;
+    a tail whose context columns are all constant is no parent and gets no
+    edge.
     """
     sizes = space.level_counts
     total = len(set(symbols))
-    labels: dict[int, DependenceLabel] = {}
     evidence: dict[int, EdgeEvidence] = {}
     for j, ctx_axes, rows in _context_columns(sizes[:depth], symbols):
         m = sizes[j]
@@ -163,35 +165,27 @@ def _classify_level(space: SampleSpace, depth: int, symbols: Sequence[int]):
                      else DependenceLabel.CONTEXT)
         else:
             label = DependenceLabel.PARTIAL
-        labels[j] = label
         evidence[j] = EdgeEvidence(
-            edge=(j, depth),
+            label=label,
             column_counts=tuple(col_counts.tolist()),
             row_counts=tuple(row_counts.tolist()),
             total_distinct=total,
             context_witnesses=tuple(context_witnesses),
             partial_witnesses=tuple(partial_witnesses),
         )
-    return labels, evidence
+    return evidence
 
 
 def staged_tree_to_aldag(
         tree: StagedTree) -> tuple[Aldag, dict[tuple[int, int], EdgeEvidence]]:
     """Minimal DAG containing the tree's model, with dependence labels.
 
-    Also returns the classification evidence of every retained edge, keyed
-    by the edge (j, i).
+    Also returns the evidence of every retained edge, its label included,
+    keyed by the edge (j, i).
     """
-    labels: dict[tuple[int, int], DependenceLabel] = {}
-    evidence: dict[tuple[int, int], EdgeEvidence] = {}
-    for depth in range(1, tree.p):
-        level_labels, level_evidence = _classify_level(
-            tree.space, depth, tree.symbols_at(depth))
-        for j, label in level_labels.items():
-            labels[(j, depth)] = label
-            evidence[(j, depth)] = level_evidence[j]
-    dag = Dag(tree.p, frozenset(labels))
-    return Aldag(dag, labels), evidence
+    evidence = {(j, depth): ev for depth in range(1, tree.p)
+                for j, ev in _classify_level(tree.space, depth, tree.symbols_at(depth)).items()}
+    return Aldag(tree.p, {edge: ev.label for edge, ev in evidence.items()}), evidence
 
 
 def classify_edge_oracle(tree: StagedTree, j: int, i: int) -> DependenceLabel:

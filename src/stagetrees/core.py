@@ -12,12 +12,15 @@ A staging is a partition of each level's vertices, so stage labels carry no
 meaning of their own.  A StagedTree accepts any hashable labels and stores
 canonical ids: each level relabeled 0, 1, ... in first-occurrence order by
 :func:`canonical_symbols`.  Trees with the same partition compare equal.
+
+An asymmetry-labeled DAG is its edge labels: `Aldag(p, labels)` derives
+its Dag from the keys of the map edge (j, i) -> DependenceLabel.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Hashable, Iterable, Mapping, Sequence
 
@@ -368,27 +371,24 @@ class DependenceLabel(str, Enum):
         return self.value
 
 
-LABEL_ORDER = (
-    DependenceLabel.TOTAL,
-    DependenceLabel.CONTEXT,
-    DependenceLabel.PARTIAL,
-    DependenceLabel.CONTEXT_PARTIAL,
-    DependenceLabel.LOCAL,
-)
+LABEL_ORDER = tuple(DependenceLabel)
 
 
 @dataclass(frozen=True)
 class Aldag:
-    """A DAG with a dependence label on every edge."""
+    """A DAG over p variables with a dependence label on every edge.
 
-    dag: Dag
+    `dag` is derived from the label keys; Dag refuses an edge outside 0 <= j < i < p.
+    """
+
+    p: int
     labels: Mapping[tuple[int, int], DependenceLabel]
+    dag: Dag = field(init=False)
 
     def __post_init__(self) -> None:
         labels = {(int(j), int(i)): DependenceLabel(v) for (j, i), v in self.labels.items()}
         object.__setattr__(self, "labels", labels)
-        if set(labels) != set(self.dag.edges):
-            raise InvalidArgumentError("labels must cover exactly the DAG edges")
+        object.__setattr__(self, "dag", Dag(self.p, frozenset(labels)))
 
     def census(self) -> tuple[int, int, int, int, int]:
         """Edge counts ordered (total, context, partial, context/partial, local)."""

@@ -73,10 +73,15 @@ class DataError(Exception):
 # CSV
 
 def _parse_count(text: str, line: int) -> int:
+    shown = text if len(text) <= 24 else text[:20] + "..."
+    # refused by length before `int`, whose digit limit would call it malformed
+    if (digits := text.lstrip("+-").lstrip("0")).isdigit() and len(digits) > len(str(MAX_COUNT)):
+        raise DataError("bad-count", f"line {line}: count {shown!r} has {len(digits)} "
+                        f"digits, more than the {MAX_COUNT} supported")
     try:
         value = int(text)
     except ValueError:
-        raise DataError("bad-count", f"line {line}: count {text!r} is not an integer") from None
+        raise DataError("bad-count", f"line {line}: count {shown!r} is not an integer") from None
     if value < 0:
         raise DataError("bad-count", f"line {line}: negative count {value}")
     return value
@@ -381,9 +386,8 @@ class ModelDocument:
         tree = StagedTree(space, vectors, fitted)
         aldag = None
         if doc.get("aldag") is not None:
-            labels = {(_int(j), _int(i)): DependenceLabel(label)
-                      for j, i, label in doc["aldag"]["edges"]}
-            aldag = Aldag(Dag(space.p, frozenset(labels)), labels)
+            aldag = Aldag(space.p, {(_int(j), _int(i)): label
+                                    for j, i, label in doc["aldag"]["edges"]})
         report = None
         if doc.get("score") is not None:
             s = doc["score"]

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -456,13 +456,14 @@ def enumerate_orders(data: Dataset, fixed_last: int | str | None = None,
     selects the depths |S| searched (other depths score their start), and
     `cfg.max_iter` caps each level search.
 
-    The DP memoizes the p * 2^(p-1) level terms (fewer with `fixed_last`),
-    and a backward pass over them gives the best score of every completion.
-    Among the orders whose total lies within max(TIE_TOLERANCE, 1e-12 *
-    |best|) of the best, the lexicographically smallest (by variable index)
-    wins.  `fixed_last` pins one variable last.  The returned tree is the
-    algorithm's search on the data in the winning order, the tree
-    `learn --order` gives.
+    The DP is a memoized recursion over sets S of free variables (all but
+    `fixed_last`): the best total after S is the least, over the next v, of
+    v's level term after S plus the best total after S + {v}; after every
+    free variable it is 0 or the fixed last variable's term.  Among the
+    orders whose total lies within max(TIE_TOLERANCE, 1e-12 * |best|) of
+    the best, the lexicographically smallest (by variable index) wins.
+    The returned tree is the algorithm's search on the data in the winning
+    order, the tree `learn --order` gives.
 
     UnsupportedSizeError is raised before any search when the level tables
     hold more than MAX_CELLS rows in total, or when bhc's largest S x S
@@ -494,42 +495,41 @@ def enumerate_orders(data: Dataset, fixed_last: int | str | None = None,
         side = max((math.prod(largest[:d]) for d in searched), default=1)
         _check_candidates(side, side)
 
-    full = (1 << p) - 1
+    top = sum(1 << v for v in free)
 
-    def level_term(pre: int, v: int) -> float:
+    @cache
+    def term(pre: int, v: int) -> float:
+        # v's level term after the predecessor set `pre`
         preds = [i for i in range(p) if pre >> i & 1]
         others = tuple(i for i in range(p) if i != v and not pre >> i & 1)
         table = np.moveaxis(data.tensor().sum(axis=others), sum(i < v for i in preds), -1)
         table = np.ascontiguousarray(table.reshape(-1, sizes[v]), dtype=np.float64)
-        _, _, term = _search_level(_MOVES[algo], table, tuple(sizes[i] for i in preds),
-                                   (sizes[v] - 1) * unit, _start_ids(algo, len(table)),
-                                   cfg.max_iter if len(preds) in searched else 0)
-        return term
+        return _search_level(_MOVES[algo], table, tuple(sizes[i] for i in preds),
+                             (sizes[v] - 1) * unit, _start_ids(algo, len(table)),
+                             cfg.max_iter if len(preds) in searched else 0)[2]
 
-    def successors(pre: int):
-        if last is not None and pre == full ^ 1 << last:
-            return [last]
+    def successors(pre: int) -> list[int]:
         return [v for v in free if not pre >> v & 1]
 
-    # rest[S]: best total of the terms after predecessor set S
-    rest = {full: 0.0}
-    term = {}
-    for pre in range(full - 1, -1, -1):
-        if last is not None and pre >> last & 1:
-            continue  # the fixed last variable only ends an order
-        for v in successors(pre):
-            term[pre, v] = level_term(pre, v)
-        rest[pre] = min(term[pre, v] + rest[pre | 1 << v] for v in successors(pre))
-    bound = rest[0] + max(TIE_TOLERANCE, 1e-12 * abs(rest[0]))
+    @cache
+    def rest(pre: int) -> float:
+        # the best total of the terms after `pre`, a set of free variables
+        if pre == top:
+            return 0.0 if last is None else term(top, last)
+        return min(term(pre, v) + rest(pre | 1 << v) for v in successors(pre))
+
+    bound = rest(0) + max(TIE_TOLERANCE, 1e-12 * abs(rest(0)))
     order, pre, done = [], 0, 0.0
-    while pre != full:
+    while pre != top:
         # the smallest next variable with a completion within the bound; should
         # rounding leave none within it, the one with the best completion
         v = min(successors(pre),
-                key=lambda u: (max(done + term[pre, u] + rest[pre | 1 << u], bound), u))
+                key=lambda u: (max(done + term(pre, u) + rest(pre | 1 << u), bound), u))
         order.append(v)
-        done += term[pre, v]
+        done += term(pre, v)
         pre |= 1 << v
+    if last is not None:
+        order.append(last)
     reordered = data.reorder(order)
     tree, _ = _SEARCHES[algo](default_start(algo, reordered.space), reordered, cfg)
     return tuple(data.space.names[i] for i in order), tree

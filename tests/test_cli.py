@@ -468,6 +468,27 @@ class TestErrorChannels:
         assert (code, out) == (3, "")
         assert json.loads(err)["code"] == "bad-count"
 
+    @pytest.mark.parametrize("count", [str(10**20), "1" + "0" * 5000],
+                             ids=["20-digits", "5000-digits"])
+    def test_count_of_too_many_digits_is_data_error(self, capsys, tmp_path, count):
+        csv = tmp_path / "big.csv"
+        csv.write_text(f"a,b,count\nx,0,{count}\ny,1,2\n")
+        code, out, err = run(capsys, "learn", "--data", str(csv), "--count-column", "count",
+                             "--out", str(tmp_path / "m.json"))
+        assert (code, out) == (3, "")
+        error = json.loads(err)
+        assert error["code"] == "bad-count"
+        assert len(error["error"]) < 200
+        assert "not an integer" not in error["error"]
+
+    def test_count_column_absent_is_data_error(self, capsys, tmp_path):
+        csv = tmp_path / "d.csv"
+        csv.write_text("a,b\nx,0\ny,1\n")
+        code, out, err = run(capsys, "learn", "--data", str(csv), "--count-column", "n",
+                             "--out", str(tmp_path / "m.json"))
+        assert (code, out) == (3, "")
+        assert json.loads(err)["code"] == "unknown-variable"
+
     def test_dsep_memory_follows_the_edges(self, capsys, tmp_path):
         # one edge among 10**6 declared vertices: a structure per vertex would take
         # about 300 MB here, and would exhaust memory at a declared p of 10**12

@@ -125,7 +125,7 @@ class TestStagedTreeToAldag:
     def test_evidence_records_matrix_profile(self, titanic_generic_tree):
         _, evidence = st.staged_tree_to_aldag(titanic_generic_tree)
         ev = evidence[(1, 2)]
-        assert ev.edge == (1, 2)
+        assert ev.label is L.LOCAL
         # Gender has two levels, so the matrix has 2 rows and 4 context columns
         assert len(ev.column_counts) == 4
         assert len(ev.row_counts) == 2
@@ -147,7 +147,7 @@ class TestStagedTreeToAldag:
                     for j, fields in classify_level_by_tuples(sizes, i, tree.symbols_at(i)).items()}
         assert set(evidence) == set(expected)
         for (j, i), ev in evidence.items():
-            assert ev.edge == (j, i)
+            assert ev.label is aldag.labels[(j, i)]
             assert (aldag.labels[(j, i)].value, ev.column_counts, ev.row_counts,
                     ev.total_distinct, ev.context_witnesses,
                     ev.partial_witnesses) == expected[(j, i)]
@@ -299,8 +299,7 @@ class TestDependenceSubtree:
     def test_inconsistent_parent_set_rejected(self):
         space = space_of(2, 2, 2)
         tree = st.StagedTree.saturated(space)   # depends on both predecessors
-        dag = st.Dag(3, frozenset({(1, 2)}))
-        aldag = st.Aldag(dag, {(1, 2): L.TOTAL})
+        aldag = st.Aldag(3, {(1, 2): L.TOTAL})
         with pytest.raises(st.InvalidArgumentError):
             st.dependence_subtree(tree, aldag, 2)
 
@@ -320,7 +319,7 @@ class TestDependenceSubtree:
             # any parent set, so that some of them leave out a variable the staging uses
             parents = draw.draw(hs.sets(hs.integers(0, target - 1))) if target else set()
             dag = st.Dag(tree.p, frozenset((j, target) for j in parents))
-            aldag = st.Aldag(dag, {e: L.TOTAL for e in dag.edges})
+            aldag = st.Aldag(tree.p, {e: L.TOTAL for e in dag.edges})
         try:
             expected = dependence_subtree_by_configurations(
                 tree, aldag.dag.parents(target), target)

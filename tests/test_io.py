@@ -147,6 +147,29 @@ class TestReadCsv:
             st.read_csv(f, order=("a", "b", "a"))
         assert err.value.code == "unknown-variable"
 
+    @pytest.mark.parametrize("text,kwargs,code", [
+        ("a,b,n\nx,0,-1\ny,1,2\n", {"count_column": "n"}, "bad-count"),
+        ("", {}, "empty"),
+        ("a,a\nx,0\ny,1\n", {}, "unknown-variable"),
+        ("a,b\nx,0\ny,1\n", {"count_column": "n"}, "unknown-variable"),
+        ("a,n\nx,1\ny,2\n", {"count_column": "n", "order": ("a", "n")}, "unknown-variable"),
+        ("n\n1\n2\n", {"count_column": "n"}, "empty"),
+        ("a,b\nx,0\ny,1\n", {"levels": {"c": ("p", "q")}}, "unknown-variable"),
+    ], ids=["negative-count", "empty-file", "duplicate-columns", "count-column-absent",
+            "count-column-in-order", "no-variable-column", "levels-unknown-column"])
+    def test_refusals(self, tmp_path, text, kwargs, code):
+        f = tmp_path / "d.csv"
+        f.write_text(text)
+        with pytest.raises(st.DataError) as err:
+            st.read_csv(f, **kwargs)
+        assert err.value.code == code
+
+    def test_unknown_na_policy(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_text("a,b\nx,0\ny,1\n")
+        with pytest.raises(st.InvalidArgumentError):
+            st.read_csv(f, na_policy="impute")
+
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(st.DataError) as err:
             st.read_csv(tmp_path / "missing.csv")
@@ -429,7 +452,7 @@ class TestDagAndSpaceDocuments:
 
 class TestWriteDot:
     def test_empty_aldag(self, tmp_path):
-        aldag = st.Aldag(st.Dag.empty(2), {})
+        aldag = st.Aldag(2, {})
         path = tmp_path / "g.dot"
         st.write_dot(aldag, path, names=("a", "b"))
         nodes, edges = parse_dot(path.read_text())
