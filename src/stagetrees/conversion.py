@@ -1,21 +1,19 @@
 """Conversions between DAGs, staged trees and labeled DAGs.
 
-`dag_to_staged_tree` expands a DAG into the staged tree encoding the same
-model.  `staged_tree_to_aldag` inverts that: it finds the minimal DAG whose
-model contains the tree's and labels every surviving edge with the kind of
-dependence the staging leaves in place (total, context, partial,
-context/partial or local).  Each edge's label is filed in its `EdgeEvidence`
-beside the witnesses behind it, and the ALDAG is built from those labels
-alone.  `classify_edge_oracle` derives the same label by brute-force
-enumeration of conditioning contexts and serves as the independent
-cross-check of the fast classification.
+`dag_to_staged_tree` expands a DAG into the staged tree of the same model.
+`staged_tree_to_aldag` inverts it: the minimal DAG whose model contains the
+tree's, each edge labeled with the dependence the staging leaves (total,
+context, partial, context/partial or local) and filed with its witnesses in
+an `EdgeEvidence`.  `classify_edge_oracle` derives one edge's label by
+enumerating contexts; it is slow, and is kept as the reference that the
+benchmark's output checks (perfbench/checks.py) call.
 """
 from __future__ import annotations
 
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Hashable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,7 +24,6 @@ from .core import (
     InvalidArgumentError,
     SampleSpace,
     StagedTree,
-    canonical_symbols,
     lex_index,
 )
 
@@ -132,9 +129,13 @@ def _distinct_per_column(a: np.ndarray) -> np.ndarray:
 def _classify_level(space: SampleSpace, depth: int, symbols: Sequence[int]):
     """One pass of the matrix classification over the depth-`depth` stage vector.
 
-    Returns {tail j: EdgeEvidence} from the reshapes of `_context_columns`;
-    a tail whose context columns are all constant is no parent and gets no
-    edge.
+    Returns {tail j: EdgeEvidence} from the reshapes of `_context_columns`.
+    Each column holds the stages of one context as x_j varies.  A tail whose
+    columns are all constant is no parent and gets no edge.  Otherwise a
+    constant column makes the edge context, a column that repeats a symbol
+    without being constant makes it partial, and both make it
+    context/partial.  With neither, a symbol shared across levels of x_j
+    makes it local, and otherwise the label is total.
     """
     sizes = space.level_counts
     total = len(set(symbols))
@@ -192,21 +193,18 @@ def classify_edge_oracle(tree: StagedTree, j: int, i: int) -> DependenceLabel:
     """Dependence class of edge (j, i) by direct context enumeration.
 
     Enumerates every assignment of the other predecessors of variable i and
-    inspects the stage symbols as x_j varies: a constant column is a
-    context-specific independence, a repeated-but-not-constant column a
-    partial one, and with neither present a symbol shared across different
-    x_j values is a local one.  Independent of the matrix-reshape route and
-    used to cross-check it.
+    reads the stages as x_j varies, vertex by vertex through `lex_index`, by
+    the rules of `_classify_level`.  Independent of the matrix-reshape route
+    and used to cross-check it.
     """
     if not 0 <= j < i < tree.p:
         raise InvalidArgumentError(f"({j}, {i}) is not an ordered variable pair")
     sizes = tree.space.level_counts
-    symbols = canonical_symbols(tree.symbols_at(i))
+    symbols = tree.symbols_at(i)
     m = sizes[j]
     others = [ax for ax in range(i) if ax != j]
-    has_context = False
-    has_partial = False
-    depends = False
+    has_context = has_partial = depends = False
+    levels_by_symbol: defaultdict[int, set[int]] = defaultdict(set)
     config = [0] * i
     for ctx in itertools.product(*(range(sizes[ax]) for ax in others)):
         for ax, v in zip(others, ctx):
@@ -215,13 +213,11 @@ def classify_edge_oracle(tree: StagedTree, j: int, i: int) -> DependenceLabel:
         for xj in range(m):
             config[j] = xj
             column.append(symbols[lex_index(tree.space, config)])
+            levels_by_symbol[column[-1]].add(xj)
         distinct = len(set(column))
-        if distinct == 1:
-            has_context = True
-        else:
-            depends = True
-            if distinct < m:
-                has_partial = True
+        has_context |= distinct == 1
+        depends |= distinct > 1
+        has_partial |= 1 < distinct < m
     if not depends:
         raise InvalidArgumentError(f"variable {i} does not depend on {j} in this staging")
     if has_context and has_partial:
@@ -230,13 +226,6 @@ def classify_edge_oracle(tree: StagedTree, j: int, i: int) -> DependenceLabel:
         return DependenceLabel.CONTEXT
     if has_partial:
         return DependenceLabel.PARTIAL
-    levels_by_symbol: dict[Hashable, set[int]] = {}
-    for pos, sym in enumerate(symbols):
-        xj = pos
-        for ax in range(i - 1, j, -1):
-            xj //= sizes[ax]
-        xj %= sizes[j]
-        levels_by_symbol.setdefault(sym, set()).add(xj)
     if any(len(levels) > 1 for levels in levels_by_symbol.values()):
         return DependenceLabel.LOCAL
     return DependenceLabel.TOTAL

@@ -12,7 +12,6 @@ import itertools
 import json
 import math
 import os
-import tempfile
 from dataclasses import dataclass
 
 from .core import (
@@ -74,17 +73,14 @@ class DataError(Exception):
 
 def _parse_count(text: str, line: int) -> int:
     shown = text if len(text) <= 24 else text[:20] + "..."
+    # ASCII digits only: `int` would also take a sign, `_` and other scripts' digits
+    if not (text.isascii() and text.isdigit()):
+        raise DataError("bad-count", f"line {line}: count {shown!r} is not made of the digits 0-9")
     # refused by length before `int`, whose digit limit would call it malformed
-    if (digits := text.lstrip("+-").lstrip("0")).isdigit() and len(digits) > len(str(MAX_COUNT)):
+    if len(digits := text.lstrip("0")) > len(str(MAX_COUNT)):
         raise DataError("bad-count", f"line {line}: count {shown!r} has {len(digits)} "
                         f"digits, more than the {MAX_COUNT} supported")
-    try:
-        value = int(text)
-    except ValueError:
-        raise DataError("bad-count", f"line {line}: count {shown!r} is not an integer") from None
-    if value < 0:
-        raise DataError("bad-count", f"line {line}: negative count {value}")
-    return value
+    return int(digits or "0")
 
 
 def _column_names(reader, header: bool, path) -> tuple[list[str], list[str]]:
@@ -209,8 +205,10 @@ def read_csv(path, header: bool = True, order=None, na_policy: str = "drop-row",
 # JSON documents
 
 def _atomic_write(path, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    # os.open applies the umask to 0o666 as open(path, "w") does; mkstemp's
+    # 0o600 would carry over to the written file
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f"tmp{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)

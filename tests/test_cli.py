@@ -481,6 +481,25 @@ class TestErrorChannels:
         assert len(error["error"]) < 200
         assert "not an integer" not in error["error"]
 
+    @pytest.mark.parametrize("argv,message", [
+        (("dsep", "--dag", "{dag}", "--a", "4", "--b", "Age"), "vertex 4 out of range"),
+        (("subtree", "--model", "{model}", "--target", "4", "--out", "{out}"),
+         "vertex 4 out of range"),
+        (("subtree", "--model", "{model}", "--aldag", "{model}", "--target", "Age",
+          "--out", "{out}"), "carries no labeled DAG"),
+    ], ids=["dsep-vertex-out-of-range", "subtree-target-out-of-range",
+            "aldag-document-unlabeled"])
+    def test_model_refusals(self, capsys, tmp_path, fig1_files, titanic_bn_tree, argv,
+                            message):
+        model = tmp_path / "m.json"
+        st.ModelDocument(titanic_bn_tree).save(model)
+        paths = {"dag": fig1_files[0], "model": str(model), "out": str(tmp_path / "o.json")}
+        code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+        assert (code, out) == (4, "")
+        error = json.loads(err)
+        assert error["code"] == "InvalidArgumentError"
+        assert message in error["error"]
+
     def test_count_column_absent_is_data_error(self, capsys, tmp_path):
         csv = tmp_path / "d.csv"
         csv.write_text("a,b\nx,0\ny,1\n")

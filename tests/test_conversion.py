@@ -279,6 +279,15 @@ class TestDependenceSubtree:
         assert sub.distributions_at(3) == st.fit(
             titanic_generic_tree, titanic).distributions_at(3)
 
+    @pytest.mark.parametrize("aldag_p,target,match", [
+        (3, 1, "disagree on p"),
+        (2, 2, "target 2 out of range"),
+    ], ids=["aldag-of-other-p", "target-out-of-range"])
+    def test_refused(self, aldag_p, target, match):
+        tree = st.StagedTree.saturated(space_of(2, 2))
+        with pytest.raises(st.InvalidArgumentError, match=match):
+            st.dependence_subtree(tree, st.Aldag(aldag_p, {}), target)
+
     def test_marginalizes_away_nonparents(self):
         # 4 variables; the target's stage vector ignores x0 entirely
         space = space_of(2, 3, 2, 2)

@@ -321,3 +321,37 @@ class TestDataset:
     def test_tensor_shape(self, titanic):
         assert titanic.tensor().shape == (4, 2, 2, 2)
         assert int(titanic.tensor().sum()) == 2201
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("call,error,match", [
+        (lambda s: st.SampleSpace((("a", ("x", "x")),)), st.InvalidArgumentError,
+         "duplicate levels"),
+        (lambda s: s.index_of("nope"), st.InvalidArgumentError, "unknown variable"),
+        (lambda s: s.reorder((0, 0)), st.InvalidArgumentError, "permutation"),
+        (lambda s: st.lex_index(s, (0, 0, 0)), st.InvalidArgumentError, "prefix longer"),
+        (lambda s: st.lex_unindex(s, 0, 3), st.InvalidArgumentError, "prefix length"),
+        (lambda s: st.StagedTree(s, ()), st.InvalidArgumentError, "expected 1 stage vectors"),
+        (lambda s: st.StagedTree(s, ((0, 1),), (None,)), st.InvalidArgumentError,
+         "one entry per depth"),
+        (lambda s: st.StagedTree(s, ((0, 1),), ({0: (0.5, 0.5, 0.0)}, None)),
+         st.InvalidArgumentError, "has length 3"),
+        (lambda s: st.StagedTree.saturated(s).distributions_at(0), st.UnfittedModelError,
+         "no fitted distributions"),
+        (lambda s: st.staging_refines(st.StagedTree.saturated(s),
+                                      st.StagedTree.saturated(space_of(2, 3))),
+         st.InvalidArgumentError, "different sample spaces"),
+        (lambda s: st.Dag(0, frozenset()), st.InvalidArgumentError, "positive"),
+        (lambda s: st.Dataset(s, [1, 2, 3]), st.InvalidArgumentError, "expected 4 cells"),
+        (lambda s: st.Dataset.from_config_counts(s, [((0, 0), -1)]), st.InvalidArgumentError,
+         "negative"),
+    ], ids=["duplicate-levels", "unknown-name", "non-permutation", "prefix-too-long",
+            "bad-prefix-length", "stage-vector-count", "fitted-entry-count",
+            "distribution-length", "unfitted", "refines-across-spaces", "empty-dag",
+            "cell-count", "negative-config-count"])
+    def test_refused(self, call, error, match):
+        with pytest.raises(error, match=match):
+            call(space_of(2, 2))
+
+    def test_dataset_is_not_equal_to_other_types(self):
+        assert (st.Dataset(space_of(2, 2), [1, 2, 3, 4]) == 5) is False

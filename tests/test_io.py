@@ -238,6 +238,20 @@ class TestReadCsv:
             st.read_csv(f, count_column="count")
         assert err.value.code == "bad-count"
 
+    @pytest.mark.parametrize("count", ["1_000", "\u0663", "+5"],
+                             ids=["underscore", "arabic-indic-digit", "plus-sign"])
+    def test_count_takes_ascii_digits_only(self, tmp_path, count):
+        f = tmp_path / "d.csv"
+        f.write_text(f"a,b,count\nx,0,{count}\ny,1,2\n", encoding="utf-8")
+        with pytest.raises(st.DataError, match="digits 0-9") as err:
+            st.read_csv(f, count_column="count")
+        assert err.value.code == "bad-count"
+
+    def test_zero_padded_count(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_text("a,b,count\nx,0," + "0" * 5000 + "5\ny,1,00\n")
+        assert st.read_csv(f, count_column="count").counts.tolist() == [5, 0, 0, 0]
+
     def test_count_total_limit(self, tmp_path):
         f = tmp_path / "d.csv"
         f.write_text(f"a,b,count\nx,0,{2**53 - 1}\ny,1,1\n")
@@ -448,6 +462,44 @@ class TestDagAndSpaceDocuments:
             {"format_version": 1, "p": 2, "edges": [[1, 0]]}))
         with pytest.raises(st.InvalidArgumentError):
             st.load_dag(path)
+
+
+class TestWrites:
+    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask-022", "umask-077"])
+    def test_mode_follows_the_umask(self, tmp_path, titanic_generic_tree, umask, mode):
+        aldag, _ = st.staged_tree_to_aldag(titanic_generic_tree)
+        previous = os.umask(umask)
+        try:
+            st.ModelDocument(titanic_generic_tree, aldag).save(tmp_path / "m.json")
+            st.save_dag(aldag.dag, tmp_path / "dag.json")
+            st.save_space(titanic_generic_tree.space, tmp_path / "space.json")
+            st.write_dot(aldag, tmp_path / "g.dot")
+        finally:
+            os.umask(previous)
+        for name in ("m.json", "dag.json", "space.json", "g.dot"):
+            assert (tmp_path / name).stat().st_mode & 0o777 == mode, name
+
+    def test_failed_replace_leaves_no_temporary(self, tmp_path):
+        (tmp_path / "out").mkdir()
+        with pytest.raises(OSError):
+            st.io._atomic_write(tmp_path / "out", "text")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+
+    def test_document_tree_and_aldag_of_other_p(self):
+        with pytest.raises(st.InvalidArgumentError, match="different dimension"):
+            st.ModelDocument(st.StagedTree.saturated(space_of(2, 2)), st.Aldag(3, {}))
+
+    @pytest.mark.parametrize("call", [
+        lambda d: st.save_dag(st.Dag.empty(2), d / "out", names=("a",)),
+        lambda d: st.load_dag(d / "dag.json"),
+        lambda d: st.write_dot(st.Aldag(2, {}), d / "out", names=("a", "b", "c")),
+    ], ids=["save-dag", "dag-document", "write-dot"])
+    def test_wrong_number_of_names(self, tmp_path, call):
+        (tmp_path / "dag.json").write_text(json.dumps(
+            {"format_version": 1, "p": 2, "variables": ["a"], "edges": []}))
+        with pytest.raises(st.InvalidArgumentError, match="wrong number of variable names"):
+            call(tmp_path)
 
 
 class TestWriteDot:

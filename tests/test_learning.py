@@ -667,3 +667,18 @@ class TestPinnedSearches:
         assert [(s.level, s.kind, s.stages) for s in trace.steps] == moves
         assert [tree.symbols_at(d) for d in range(1, tree.p)] == vectors
         assert trace.final_score == pytest.approx(final, abs=1e-9)
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("call,match", [
+        (lambda d: st.bhc(st.StagedTree.saturated(space_of(2, 3)), d), "different sample spaces"),
+        (lambda d: st.default_start("anneal", d.space), "unknown search algorithm"),
+        (lambda d: st.learn_dag(d, sink=2), "sink 2 out of range"),
+        (lambda d: st.enumerate_orders(d, algo="anneal"), "unknown search algorithm"),
+        (lambda d: st.enumerate_orders(d, fixed_last=2), "fixed_last 2 out of range"),
+    ], ids=["start-on-other-space", "default-start-algo", "sink-out-of-range",
+            "order-search-algo", "fixed-last-out-of-range"])
+    def test_refused(self, call, match):
+        data = st.Dataset(space_of(2, 2), [3, 1, 2, 4])
+        with pytest.raises(st.InvalidArgumentError, match=match):
+            call(data)

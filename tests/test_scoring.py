@@ -83,6 +83,10 @@ class TestJointProbability:
         with pytest.raises(st.UnfittedModelError):
             st.joint_probability(titanic_bn_tree, (0, 0, 0, 0))
 
+    def test_configuration_of_wrong_length_rejected(self, titanic, titanic_bn_tree):
+        with pytest.raises(st.InvalidArgumentError, match="length 4"):
+            st.joint_probability(st.fit(titanic_bn_tree, titanic), (0, 0, 0))
+
 
 class TestDegreesOfFreedom:
     def test_saturated_two_binary(self):
