@@ -97,7 +97,7 @@ def _column_names(reader, header: bool, path) -> tuple[list[str], list[str]]:
 def _csv_columns(path, header: bool = True) -> list[str]:
     """Column names of a CSV file, read from its first row alone."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             return _column_names(csv.reader(fh), header, path)[1]
     except (OSError, UnicodeDecodeError, csv.Error) as err:
         raise DataError("unreadable", f"cannot read {path}: {err}") from None
@@ -132,7 +132,7 @@ def read_csv(path, header: bool = True, order=None, na_policy: str = "drop-row",
     # count-0 rows keep their key so they still declare their levels
     tally: dict[tuple[str, ...], int] = {}
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             first, names = _column_names(reader, header, path)
             column = {name: i for i, name in enumerate(names)}

@@ -2,10 +2,13 @@
 
 `bhc`, `hc`, `csbhc` and `learn_dag` share one steepest-descent engine and
 differ only in the moves they score, level by level, as one array of score
-deltas (`learn_dag` toggles one parent of the level's variable).  `bhc`
-scores its S x S matrix of pair joins once per level and, after each join,
-rescores only the joined stage's row and column; the other moves are
-rescored in full each step.  The pick
+deltas (`learn_dag` toggles one parent of the level's variable).  Each
+pass counts the level's stages into a matrix whose row s is stage id s and
+which ends one row past the largest id: a retired id is a zero row that the
+`live` mask leaves out, and the last row is the level's one empty stage.
+`bhc` scores its S x S matrix of pair joins over the live ids once per
+level and, after each join, rescores only the joined stage's row and
+column; the other moves are rescored in full each step.  The pick
 rule: among the candidates whose delta lies within TIE_TOLERANCE = 1e-9 of
 the smallest, the one with the smallest affected ids wins, and it is applied
 if its delta is below -1e-9.  Deltas that are equal in exact arithmetic
@@ -61,6 +64,12 @@ IMPROVEMENT_EPS = 1e-9
 TIE_TOLERANCE = 1e-9
 
 
+def _integer(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """Knobs shared by every search.
@@ -69,6 +78,10 @@ class SearchConfig:
     max_iter : cap on accepted moves per level (None = until fixpoint).
     scope : depths to search (subset of 1..p-1); other levels pass through
         untouched.
+
+    `max_iter` and the depths in `scope` are Python or numpy integers,
+    stored as int; a bool, float or str, or a scope that holds no depths
+    (say, a bare int), is refused with InvalidArgumentError.
     """
 
     score: str = "bic"
@@ -78,10 +91,15 @@ class SearchConfig:
     def __post_init__(self) -> None:
         if self.score not in ("bic", "aic"):
             raise InvalidArgumentError(f"unknown score {self.score!r}")
-        if self.max_iter is not None and self.max_iter < 1:
-            raise InvalidArgumentError("max_iter must be positive")
+        if self.max_iter is not None:
+            object.__setattr__(self, "max_iter", _integer(self.max_iter, "max_iter"))
+            if self.max_iter < 1:
+                raise InvalidArgumentError("max_iter must be positive")
         if self.scope is not None:
-            object.__setattr__(self, "scope", tuple(sorted(set(self.scope))))
+            if not np.iterable(self.scope):
+                raise InvalidArgumentError(f"scope must hold integer depths, got {self.scope!r}")
+            object.__setattr__(self, "scope", tuple(sorted({_integer(d, "a scope depth")
+                                                            for d in self.scope})))
 
 
 # the kinds of move a search trace records
@@ -154,7 +172,7 @@ def _merged_loglik(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pair_joins(table, sizes, penalty, assign, stage_of, ids, counts, loglik, last):
+def _pair_joins(table, sizes, penalty, assign, live, counts, loglik, last):
     """bhc candidates: join stages s1 < s2, the upper triangle of an S x S matrix.
 
     The matrix is scored in full on a level's first pass only.  After the
@@ -162,6 +180,8 @@ def _pair_joins(table, sizes, penalty, assign, stage_of, ids, counts, loglik, la
     row and column are rescored: every other entry is the same float
     expression of the same counts as in a full rescan, so it keeps its value.
     """
+    ids = np.flatnonzero(live)  # the matrix covers the live ids only
+    counts, loglik = counts[ids], loglik[ids]
     if last is None:
         # in place, so the S x S matrix is the only full-size array
         deltas = _merged_loglik(counts, counts)
@@ -188,29 +208,28 @@ def _pair_joins(table, sizes, penalty, assign, stage_of, ids, counts, loglik, la
     return deltas, move
 
 
-def _vertex_moves(table, sizes, penalty, assign, src, ids, counts, loglik, last):
+def _vertex_moves(table, sizes, penalty, assign, live, counts, loglik, last):
     """hc candidates: move one vertex to another stage or to a fresh singleton.
 
-    Row v holds vertex v's moves to every stage in id order, then to the
-    fresh stage, whose id exceeds every existing one; the fresh stage is
-    scored as an empty stage with zero log-likelihood.
+    Column s of row v holds vertex v's move to stage id s; the last column
+    is the level's empty stage, the fresh one, and the columns of retired
+    ids are masked.
     """
-    singleton = np.bincount(src, minlength=len(ids))[src] == 1
-    deltas = _merged_loglik(table, np.vstack([counts, np.zeros(counts.shape[1])]))
-    deltas += _loglik(counts[src] - table)[:, None]
-    deltas -= loglik[src, None]
-    deltas -= np.append(loglik, 0.0)
+    singleton = np.bincount(assign)[assign] == 1
+    deltas = _merged_loglik(table, counts)
+    deltas += _loglik(counts[assign] - table)[:, None]
+    deltas -= loglik[assign, None]
+    deltas -= loglik
     deltas *= -2.0
     deltas[:, :-1] -= np.where(singleton, penalty, 0.0)[:, None]
     deltas[:, -1] += penalty
-    deltas[np.arange(len(assign)), src] = np.inf
+    deltas[np.arange(len(assign)), assign] = np.inf
     deltas[singleton, -1] = np.inf
+    deltas[:, :-1][:, ~live[:-1]] = np.inf
 
     def move(best):
-        vertex, col = divmod(best, len(ids) + 1)
-        split = col == len(ids)
-        dest = int(ids[-1]) + 1 if split else int(ids[col])
-        return "split" if split else "join", (int(assign[vertex]), dest), vertex, dest
+        vertex, dest = divmod(best, len(live))
+        return "join" if live[dest] else "split", (int(assign[vertex]), dest), vertex, dest
     return deltas, move
 
 
@@ -239,12 +258,10 @@ def _column_merge_groups(sizes_prefix, symbols) -> np.ndarray:
     return groups[keep]
 
 
-def _column_joins(table, sizes, penalty, assign, stage_of, ids, counts, loglik, last):
+def _column_joins(table, sizes, penalty, assign, live, counts, loglik, last):
     """csbhc candidates: merge the stages of one context column, groups in sorted order."""
-    # stage indices into ids; the -1 pad indexes an appended empty stage
-    rows = _column_merge_groups(sizes, stage_of)
-    counts = np.vstack([counts, np.zeros(counts.shape[1])])
-    loglik = np.append(loglik, 0.0)
+    # the -1 pad indexes the level's empty stage, its last row
+    rows = _column_merge_groups(sizes, assign)
     parts = loglik[rows[:, 0]]
     for col in rows.T[1:]:
         parts += loglik[col]  # left to right, as sum() adds a group's terms
@@ -253,7 +270,7 @@ def _column_joins(table, sizes, penalty, assign, stage_of, ids, counts, loglik, 
     deltas = -2.0 * gain - joined * penalty
 
     def move(best):
-        group = tuple(ids[rows[best][rows[best] >= 0]].tolist())
+        group = tuple(rows[best][rows[best] >= 0].tolist())
         return "column-join", group, np.isin(assign, group[1:]), group[0]
     return deltas, move
 
@@ -263,20 +280,20 @@ def _dag_parents(assign, sizes):
     return {j for j in range(len(sizes)) if assign[math.prod(sizes[j + 1:])] != 0}
 
 
-def _parent_toggles(table, sizes, penalty, assign, stage_of, ids, counts, loglik, last,
-                    sink=None):
+def _parent_toggles(table, sizes, penalty, assign, live, counts, loglik, last, sink=None):
     """learn_dag candidates: the level's DAG staging with parent j toggled, j in id order.
 
     The sink is never a parent; a move relabels the whole level.
     """
     parents = _dag_parents(assign, sizes)
+    base, now = loglik[live].sum(), np.count_nonzero(live)
     deltas = np.full(len(sizes), np.inf)
     for j in range(len(sizes)):
         if j != sink:
             toggled = _parent_stage_ids(sizes, parents ^ {j})
             stages = int(toggled[-1]) + 1
-            gain = _loglik(_stage_counts(table, toggled, stages)).sum() - loglik.sum()
-            deltas[j] = -2.0 * gain + (stages - len(ids)) * penalty
+            gain = _loglik(_stage_counts(table, toggled, stages)).sum() - base
+            deltas[j] = -2.0 * gain + (stages - now) * penalty
 
     def move(best):
         kind = "drop-parent" if best in parents else "add-parent"
@@ -287,29 +304,28 @@ def _parent_toggles(table, sizes, penalty, assign, stage_of, ids, counts, loglik
 def _search_level(candidates, table, sizes, penalty, assign, max_iter):
     """Greedy search of one level; returns the final assignment, the moves and the term.
 
-    `candidates` is called with the level table, the level counts of the
-    preceding variables, the score cost of one more stage, the stage id of
-    every vertex and its index into the sorted stage ids, those ids with
-    their S x K count matrix and log-likelihoods, and the last pass's
-    (deltas, stages of the move taken), None on the first pass; it returns
-    the deltas, laid out in tie order, and a function that turns the
-    picked index into (kind, stages, vertices to relabel, their new id or
-    ids).  Only `_pair_joins` reads the last pass; the other move sets
-    change shape with every move and are scored afresh.  `assign` is
-    updated in place; each move is returned as (kind, stages, score delta),
-    at most `max_iter` of them (0 scores the start).  The term is the
-    level's share of the score, -2 logL + stages * penalty, at the final
-    assignment.
+    A stage's id is its row in the level's count matrix, which runs to one
+    past the largest id: `live` marks the ids in use, a retired id is a zero
+    row, and the last row is the level's one empty stage (hc's fresh stage,
+    csbhc's -1 pad).  `candidates` is called with the level table, the level
+    counts of the preceding variables, the score cost of one more stage,
+    the stage id of every vertex, `live`, the counts and their rows'
+    log-likelihoods, and the last pass's (deltas, stages of the move taken),
+    None on the first; it returns the deltas, laid out in tie order, and a
+    function that turns the picked index into (kind, stages, vertices to
+    relabel, their new id or ids).  Only `_pair_joins` reads the last pass.
+    `assign` is updated in place; each move is returned as (kind, stages,
+    score delta), at most `max_iter` of them (0 scores the start).  The term
+    is the level's share of the score, -2 logL + stages * penalty.
     """
     moves, last = [], None
     while True:
-        ids, stage_of = np.unique(assign, return_inverse=True)
-        counts = _stage_counts(table, stage_of, len(ids))
+        live = np.bincount(assign, minlength=assign.max() + 2) > 0
+        counts = _stage_counts(table, assign, len(live))
         loglik = _loglik(counts)
         if max_iter is not None and len(moves) >= max_iter:
             break
-        deltas, move = candidates(table, sizes, penalty, assign, stage_of, ids, counts, loglik,
-                                  last)
+        deltas, move = candidates(table, sizes, penalty, assign, live, counts, loglik, last)
         best = _pick(deltas)
         if best is None:
             break
@@ -317,7 +333,7 @@ def _search_level(candidates, table, sizes, penalty, assign, max_iter):
         assign[rows] = dest
         moves.append((kind, stages, float(deltas.flat[best])))
         last = deltas, stages
-    return assign, moves, -2.0 * float(loglik.sum()) + len(ids) * penalty
+    return assign, moves, -2.0 * float(loglik[live].sum()) + np.count_nonzero(live) * penalty
 
 
 def _stage_cost(data: Dataset, cfg: SearchConfig) -> float:

@@ -2,9 +2,10 @@
 
 Each function here recomputes a quantity the package produces by a
 different algorithm, from first principles and with different data
-structures, so agreement is meaningful.  The exception is
-`bhc_level_by_rescan`, which shares the package's float expressions on
-purpose: it checks that a cached search changes no bit of the result.
+structures, so agreement is meaningful.  The exceptions are the
+`*_level_by_rescan` level loops, which share the package's float
+expressions on purpose: they check that the search engine's id-indexed
+counts and cached deltas change no bit of the result.
 """
 from __future__ import annotations
 
@@ -158,18 +159,19 @@ def bhc_by_pairs(data, tolerance: float = 1e-9, improvement: float = 1e-9):
     return moves, vectors
 
 
-def bhc_level_by_rescan(table, penalty: float, assign, max_iter=None):
-    """One bhc level that rescores every pair of stages after each join.
+def _level_by_rescan(table, penalty: float, assign, max_iter, candidates):
+    """The level loop the search engine ran before stage ids indexed the counts.
 
-    This is the level loop the search engine ran before it kept its delta
-    matrix between steps: each pass recounts the stages and scores the full
-    S x S matrix of joins with the package's own float expressions, so a
-    cached search must agree with it bit for bit, not approximately.
-    `assign` is updated in place; returns it, the moves as ("join", (s1,
-    s2), delta) and the level's term -2 logL + stages * penalty, as
-    `learning._search_level` does.
+    Each pass recounts the stages in sorted id order (`np.unique`) and
+    scores every move afresh with the package's own float expressions;
+    `candidates(ids, stage_of, counts, loglik)` returns the deltas and a
+    function that turns the picked index into (kind, stages, vertices to
+    relabel, their new id).  `assign` is updated in place; returns it, the
+    moves as (kind, stages, delta) and the level's term -2 logL + stages *
+    penalty, as `learning._search_level` does, so the two must agree bit
+    for bit, not approximately.
     """
-    from stagetrees.learning import _merged_loglik, _pick
+    from stagetrees.learning import _pick
     from stagetrees.scoring import _loglik, _stage_counts
     moves = []
     while True:
@@ -178,19 +180,97 @@ def bhc_level_by_rescan(table, penalty: float, assign, max_iter=None):
         loglik = _loglik(counts)
         if max_iter is not None and len(moves) >= max_iter:
             break
+        deltas, move = candidates(ids, stage_of, counts, loglik)
+        best = _pick(deltas)
+        if best is None:
+            break
+        kind, stages, rows, dest = move(best)
+        assign[rows] = dest
+        moves.append((kind, stages, float(deltas.flat[best])))
+    return assign, moves, -2.0 * float(loglik.sum()) + len(ids) * penalty
+
+
+def bhc_level_by_rescan(table, penalty: float, assign, max_iter=None):
+    """One bhc level that rescores every pair of stages after each join.
+
+    A cached search, which keeps its delta matrix between joins, must agree
+    with it bit for bit.
+    """
+    from stagetrees.learning import _merged_loglik
+
+    def candidates(ids, stage_of, counts, loglik):
         deltas = _merged_loglik(counts, counts)
         deltas -= loglik[:, None]
         deltas -= loglik
         deltas *= -2.0
         deltas -= penalty
         deltas[np.tril_indices(len(ids))] = np.inf
-        best = _pick(deltas)
-        if best is None:
-            break
-        s1, s2 = (int(ids[i]) for i in divmod(best, len(ids)))
-        assign[assign == s2] = s1
-        moves.append(("join", (s1, s2), float(deltas.flat[best])))
-    return assign, moves, -2.0 * float(loglik.sum()) + len(ids) * penalty
+
+        def move(best):
+            s1, s2 = (int(ids[i]) for i in divmod(best, len(ids)))
+            return "join", (s1, s2), assign == s2, s1
+        return deltas, move
+    return _level_by_rescan(table, penalty, assign, max_iter, candidates)
+
+
+def hc_level_by_rescan(table, penalty: float, assign, max_iter=None):
+    """One hc level that rescores every vertex move over the sorted stage ids.
+
+    Row v holds vertex v's moves to every stage in id order, then to a fresh
+    stage with id one past the largest, scored as an appended empty stage.
+    """
+    from stagetrees.learning import _merged_loglik
+    from stagetrees.scoring import _loglik
+
+    def candidates(ids, src, counts, loglik):
+        singleton = np.bincount(src, minlength=len(ids))[src] == 1
+        deltas = _merged_loglik(table, np.vstack([counts, np.zeros(counts.shape[1])]))
+        deltas += _loglik(counts[src] - table)[:, None]
+        deltas -= loglik[src, None]
+        deltas -= np.append(loglik, 0.0)
+        deltas *= -2.0
+        deltas[:, :-1] -= np.where(singleton, penalty, 0.0)[:, None]
+        deltas[:, -1] += penalty
+        deltas[np.arange(len(assign)), src] = np.inf
+        deltas[singleton, -1] = np.inf
+
+        def move(best):
+            vertex, col = divmod(best, len(ids) + 1)
+            split = col == len(ids)
+            dest = int(ids[-1]) + 1 if split else int(ids[col])
+            return "split" if split else "join", (int(assign[vertex]), dest), vertex, dest
+        return deltas, move
+    return _level_by_rescan(table, penalty, assign, max_iter, candidates)
+
+
+def csbhc_level_by_rescan(table, sizes, penalty: float, assign, max_iter=None):
+    """One csbhc level that rescores every context-column merge group.
+
+    The groups come from `column_merge_groups_by_full_walk`, as positions
+    in the sorted stage ids padded with one past the last, an appended
+    empty stage.
+    """
+    from stagetrees.scoring import _loglik
+
+    def candidates(ids, stage_of, counts, loglik):
+        groups = column_merge_groups_by_full_walk(sizes, assign.tolist())
+        rows = np.full((len(groups), max(sizes)), len(ids))
+        for g, group in enumerate(groups):
+            rows[g, :len(group)] = np.searchsorted(ids, group)
+        counts = np.vstack([counts, np.zeros(counts.shape[1])])
+        loglik = np.append(loglik, 0.0)
+        parts = loglik[rows[:, 0]]
+        for col in rows.T[1:]:
+            parts += loglik[col]
+        gain = _loglik(counts[rows].sum(axis=1)) - parts
+        joined = (rows < len(ids)).sum(axis=1) - 1
+        deltas = -2.0 * gain - joined * penalty
+
+        def move(best):
+            group = groups[best]
+            return "column-join", group, np.isin(assign, group[1:]), group[0]
+        return deltas, move
+    return _level_by_rescan(table, penalty, assign, max_iter, candidates)
 
 
 def learn_dag_by_global_toggles(data, score: str = "bic", sink=None,

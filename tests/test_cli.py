@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from importlib import resources
 from pathlib import Path
@@ -85,6 +88,25 @@ class TestScore:
                            "--data", titanic_csv, "--count-column", "count")
         assert code == 0
         assert json.loads(out) == learned["score"]
+
+    def test_byte_order_mark_changes_no_name(self, capsys, tmp_path, titanic_csv):
+        plain = tmp_path / "plain.csv"
+        plain.write_bytes(Path(titanic_csv).read_bytes())
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        scores = set()
+        for data in (plain, marked):
+            model = tmp_path / f"{data.stem}.json"
+            code, _, _ = run(capsys, "learn", "--data", str(data), "--count-column", "count",
+                             "--order", "Class", "Gender", "Survived", "Age",
+                             "--out", str(model))
+            assert code == 0
+            for scored in (plain, marked):
+                code, out, _ = run(capsys, "score", "--model", str(model),
+                                   "--data", str(scored), "--count-column", "count")
+                assert code == 0
+                scores.add(out)
+        assert len(scores) == 1
 
     def test_holdout_levels_in_other_order(self, capsys, tmp_path, titanic_csv):
         model = tmp_path / "m.json"
@@ -173,6 +195,25 @@ class TestLearn:
         assert run(capsys, "learn", "--data", titanic_csv, "--count-column",
                    "count", "--algo", "hc", "--out", str(b))[0] == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_outputs_do_not_follow_the_hash_seed(self, tmp_path, titanic_csv):
+        # criterion 8 repeats its runs in one process, which keeps one hash seed
+        path = [str(Path(st.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        outputs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join(filter(None, path)))
+            run_dir = tmp_path / seed
+            run_dir.mkdir()
+            result = []
+            for command in ("learn", "refine"):
+                done = subprocess.run(
+                    [sys.executable, "-m", "stagetrees", command, "--data", titanic_csv,
+                     "--count-column", "count", "--algo", "csbhc", "--out", f"{command}.json"],
+                    cwd=run_dir, env=env, capture_output=True, check=True)
+                result += [done.stdout, (run_dir / f"{command}.json").read_bytes()]
+            outputs.append(result)
+        assert outputs[0] == outputs[1]
 
     def test_explicit_order(self, capsys, tmp_path, titanic_csv):
         out_path = tmp_path / "m.json"

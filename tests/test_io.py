@@ -275,6 +275,15 @@ class TestReadCsv:
             st.read_csv(f)
         assert err.value.code == "degenerate"
 
+    @pytest.mark.parametrize("header", [True, False])
+    def test_byte_order_mark_skipped(self, tmp_path, header):
+        f = tmp_path / "d.csv"
+        f.write_bytes(b"\xef\xbb\xbfClass,Gender\n1st,Male\n2nd,Female\n")
+        data = st.read_csv(f, header=header)
+        assert data.space.names == (("Class", "Gender") if header else ("v0", "v1"))
+        assert data.space.levels_of(0)[0] == ("1st" if header else "Class")
+        assert st.io._csv_columns(f, header) == list(data.space.names)
+
     def test_headerless(self, tmp_path):
         f = tmp_path / "d.csv"
         f.write_text("x,0\ny,1\n")

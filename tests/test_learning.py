@@ -14,7 +14,8 @@ from stagetrees.learning import (_column_joins, _column_merge_groups, _merged_lo
 
 from conftest import draw_level, random_space, random_dataset
 from oracles import (bhc_by_pairs, bhc_level_by_rescan, column_merge_groups_by_full_walk,
-                     enumerate_orders_by_permutations, index_order_objective_by_permutations,
+                     csbhc_level_by_rescan, enumerate_orders_by_permutations,
+                     hc_level_by_rescan, index_order_objective_by_permutations,
                      learn_dag_by_global_toggles)
 
 L = st.DependenceLabel
@@ -192,6 +193,22 @@ class TestSearchConfig:
             st.bhc(st.StagedTree.saturated(space_of(2, 2)),
                    st.Dataset(space_of(2, 2), np.array([1, 1, 1, 1])),
                    st.SearchConfig(scope=(5,)))
+
+    @pytest.mark.parametrize("field,value", [
+        ("max_iter", True), ("max_iter", 1.5), ("max_iter", 2.0), ("max_iter", "2"),
+        ("max_iter", np.float64(2)), ("scope", (True,)), ("scope", (1.0,)), ("scope", ("1",)),
+        ("scope", (1, np.float64(2))), ("scope", 3),
+    ])
+    def test_mistyped_refused(self, field, value):
+        with pytest.raises(st.InvalidArgumentError, match="integer"):
+            st.SearchConfig(**{field: value})
+
+    def test_numpy_integers_stored_as_int(self, titanic, titanic_bn_tree):
+        cfg = st.SearchConfig(max_iter=np.int64(2), scope=(np.int32(3), 1, np.uint8(3)))
+        assert (cfg.max_iter, cfg.scope) == (2, (1, 3))
+        assert type(cfg.max_iter) is int and all(type(d) is int for d in cfg.scope)
+        _, trace = st.bhc(titanic_bn_tree, titanic, cfg)
+        assert [s.level for s in trace.steps] == [1, 3, 3]
 
     def test_aic_scoring_runs(self, titanic, titanic_bn_tree):
         cfg = st.SearchConfig(score="aic")
@@ -554,6 +571,74 @@ class TestPairJoinCache:
         stages = 64
         assert len(moves) >= 40
         assert sum(scored) <= stages ** 2 + 3 * stages * (len(moves) + 1)
+
+
+def draw_level_search(draw):
+    """A level table, its preceding level counts, penalty, start and max_iter.
+
+    Zero, proportional and repeated rows tie exactly; free rows do not.  The
+    start is saturated, one-stage or drawn by `draw_level` (random symbols
+    or a DAG's staging, maybe coarsened), its ids maybe spread to 3 * id + 1.
+    """
+    sizes = tuple(draw.draw(hs.lists(hs.integers(2, 4), min_size=1, max_size=3)))
+    k = draw.draw(hs.integers(2, 9))  # eight or more levels take _loglik's packed sums
+    base = draw.draw(hs.lists(hs.integers(0, 9), min_size=k, max_size=k))
+    rows = []
+    for _ in range(math.prod(sizes)):
+        kind = draw.draw(hs.sampled_from(["zero", "proportional", "repeat", "free"]))
+        if kind == "zero":
+            rows.append([0] * k)
+        elif kind == "proportional":
+            rows.append([draw.draw(hs.integers(1, 50)) * b for b in base])
+        elif kind == "repeat" and rows:
+            rows.append(draw.draw(hs.sampled_from(rows)))
+        else:
+            rows.append(draw.draw(hs.lists(hs.integers(0, 30), min_size=k, max_size=k)))
+    table = np.array(rows, dtype=np.float64)
+    penalty = (k - 1) * math.log(max(table.sum(), 2.0))
+    start = draw.draw(hs.sampled_from(["saturated", "one-stage", "drawn"]))
+    if start == "saturated":
+        start = np.arange(len(table))
+    elif start == "one-stage":
+        start = np.zeros(len(table), dtype=np.int64)
+    else:
+        start = np.array(draw_level(draw, sizes), dtype=np.int64)
+    if draw.draw(hs.booleans()):
+        start = 3 * start + 1  # retired ids below, between and past the live ones
+    return table, sizes, penalty, start, draw.draw(hs.sampled_from([None, 1, 3]))
+
+
+def capped(max_iter, want):
+    """max_iter, or one move past the oracle's fixpoint.
+
+    A search that cycles through moves that only look improving then fails
+    instead of hanging.
+    """
+    return len(want[1]) + 1 if max_iter is None else max_iter
+
+
+class TestLevelRescan:
+    """hc and csbhc read id-indexed counts and equal the sorted-id level loop bit for bit."""
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(hs.data())
+    def test_hc_matches_full_rescan(self, draw):
+        table, sizes, penalty, start, max_iter = draw_level_search(draw)
+        want = hc_level_by_rescan(table, penalty, start.copy(), max_iter)
+        got = _search_level(_vertex_moves, table, sizes, penalty, start.copy(),
+                            capped(max_iter, want))
+        assert got[0].tolist() == want[0].tolist()
+        assert got[1:] == want[1:]  # moves and term, floats compared with ==
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(hs.data())
+    def test_csbhc_matches_full_rescan(self, draw):
+        table, sizes, penalty, start, max_iter = draw_level_search(draw)
+        want = csbhc_level_by_rescan(table, sizes, penalty, start.copy(), max_iter)
+        got = _search_level(_column_joins, table, sizes, penalty, start.copy(),
+                            capped(max_iter, want))
+        assert got[0].tolist() == want[0].tolist()
+        assert got[1:] == want[1:]
 
 
 # Exact output of the three searches from their default starts on Titanic and
