@@ -173,7 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fix-last", default=None,
                    help="with --enumerate-orders, pin this variable last")
     p.add_argument("--enumerate-orders", action="store_true",
-                   help="search for the best variable order")
+                   help="search for the best variable order (with --algo csbhc, "
+                        "the order found can score worse than the best)")
     p.add_argument("--out", required=True, help="model document to write")
     p.set_defaults(func=_cmd_learn)
 

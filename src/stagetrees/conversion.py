@@ -3,10 +3,10 @@
 `dag_to_staged_tree` expands a DAG into the staged tree of the same model.
 `staged_tree_to_aldag` inverts it: the minimal DAG whose model contains the
 tree's, each edge labeled with the dependence the staging leaves (total,
-context, partial, context/partial or local) and filed with its witnesses in
-an `EdgeEvidence`.  `classify_edge_oracle` derives one edge's label by
-enumerating contexts; it is slow, and is kept as the reference that the
-benchmark's output checks (perfbench/checks.py) call.
+context, partial, context/partial or local) and filed with the stage
+matrix it was read from in an `EdgeEvidence`.  `classify_edge_oracle` derives
+one edge's label by enumerating contexts; it is slow, and is kept as the
+reference that the benchmark's output checks (perfbench/checks.py) call.
 """
 from __future__ import annotations
 
@@ -41,23 +41,56 @@ Context = tuple[tuple[int, int], ...]  # ((variable, level), ...) sorted by vari
 
 @dataclass(frozen=True)
 class EdgeEvidence:
-    """The label of one retained edge (j, i) and what the stage matrix showed.
+    """The label of one retained edge (j, i) and the stage matrix it was read from.
 
-    The record is filed under its edge.  column_counts / row_counts are the
-    distinct-symbol counts per context column and per level row of the
-    matrix examined for variable j; total_distinct is the number of
-    distinct symbols overall.
-    context_witnesses lists the contexts whose column was constant;
-    partial_witnesses lists (context, level subset) pairs where a strict
-    subset of at least two of j's levels shared a symbol.
+    The record is filed under its edge.  stages is the m x C matrix that
+    `_context_columns` examined for tail j: a row per level of x_j, a column
+    per context, an assignment of context_axes (of sizes context_sizes, last
+    fastest).  The rest is read from it on request: the distinct-symbol
+    counts per column, per row and overall; the contexts whose column is
+    constant; and the (context, level subset) pairs where a strict subset of
+    at least two of j's levels shares a symbol.
     """
 
     label: DependenceLabel
-    column_counts: tuple[int, ...]
-    row_counts: tuple[int, ...]
-    total_distinct: int
-    context_witnesses: tuple[Context, ...]
-    partial_witnesses: tuple[tuple[Context, tuple[int, ...]], ...]
+    context_axes: tuple[int, ...]
+    context_sizes: tuple[int, ...]
+    stages: tuple[tuple[int, ...], ...]
+
+    @property
+    def column_counts(self) -> tuple[int, ...]:
+        return tuple(_distinct_per_column(np.array(self.stages)).tolist())
+
+    @property
+    def row_counts(self) -> tuple[int, ...]:
+        return tuple(_distinct_per_column(np.array(self.stages).T).tolist())
+
+    @property
+    def total_distinct(self) -> int:
+        return len(set(itertools.chain.from_iterable(self.stages)))
+
+    @property
+    def context_witnesses(self) -> tuple[Context, ...]:
+        return self._contexts(np.flatnonzero(np.array(self.column_counts) == 1))
+
+    @property
+    def partial_witnesses(self) -> tuple[tuple[Context, tuple[int, ...]], ...]:
+        stages = np.array(self.stages)
+        counts = _distinct_per_column(stages)
+        columns = np.flatnonzero((counts > 1) & (counts < len(stages)))
+        witnesses = []
+        for ctx, column in zip(self._contexts(columns), stages[:, columns].T.tolist()):
+            groups = (tuple(u for u, s in enumerate(column) if s == sym)
+                      for sym in dict.fromkeys(column))
+            witnesses.extend((ctx, g) for g in groups if len(g) >= 2)
+        return tuple(witnesses)
+
+    def _contexts(self, columns: np.ndarray) -> tuple[Context, ...]:
+        # the one decoder of column indices; an empty context has one column,
+        # and unravel_index needs the shape (1,) for it, not ()
+        values = np.unravel_index(columns, self.context_sizes or (1,))
+        return tuple(tuple(sorted(zip(self.context_axes, v)))
+                     for v in zip(*(a.tolist() for a in values)))
 
 
 def dag_to_staged_tree(dag: Dag, space: SampleSpace) -> StagedTree:
@@ -87,14 +120,6 @@ def _parent_stage_ids(sizes: Sequence[int], parents) -> np.ndarray:
         else:
             ids = np.repeat(ids, k)
     return ids
-
-
-def _column_context(axes: Sequence[int], sizes: Sequence[int], k: int) -> Context:
-    # context of column k: assignment over `axes` in their order, last fastest
-    values = [0] * len(axes)
-    for pos in range(len(axes) - 1, -1, -1):
-        k, values[pos] = divmod(k, sizes[axes[pos]])
-    return tuple(sorted(zip(axes, values)))
 
 
 def _context_columns(sizes: Sequence[int], symbols):
@@ -145,35 +170,17 @@ def _classify_level(space: SampleSpace, depth: int, symbols: Sequence[int]):
         col_counts = _distinct_per_column(rows)
         if col_counts.max() == 1:
             continue
-        row_counts = _distinct_per_column(rows.T)
-        context_witnesses = [_column_context(ctx_axes, sizes, k)
-                             for k in np.flatnonzero(col_counts == 1).tolist()]
-        partial = (col_counts > 1) & (col_counts < m)
-        partial_witnesses = []
-        for k in np.flatnonzero(partial).tolist():
-            groups: dict[int, list[int]] = {}
-            for level, sym in enumerate(rows[:, k].tolist()):
-                groups.setdefault(sym, []).append(level)
-            ctx = _column_context(ctx_axes, sizes, k)
-            partial_witnesses.extend((ctx, tuple(g)) for g in groups.values() if len(g) >= 2)
         if col_counts.min() == m:
-            label = (DependenceLabel.LOCAL if row_counts.sum() != total
+            label = (DependenceLabel.LOCAL if _distinct_per_column(rows.T).sum() != total
                      else DependenceLabel.TOTAL)
         elif col_counts.min() == 1:
-            # a non-constant column with a repeated symbol witnesses a
-            # partial pattern on top of the context one
-            label = (DependenceLabel.CONTEXT_PARTIAL if partial.any()
+            # a repeat in a non-constant column adds a partial pattern
+            label = (DependenceLabel.CONTEXT_PARTIAL if (col_counts[col_counts > 1] < m).any()
                      else DependenceLabel.CONTEXT)
         else:
             label = DependenceLabel.PARTIAL
-        evidence[j] = EdgeEvidence(
-            label=label,
-            column_counts=tuple(col_counts.tolist()),
-            row_counts=tuple(row_counts.tolist()),
-            total_distinct=total,
-            context_witnesses=tuple(context_witnesses),
-            partial_witnesses=tuple(partial_witnesses),
-        )
+        evidence[j] = EdgeEvidence(label, tuple(ctx_axes), tuple(sizes[a] for a in ctx_axes),
+                                   tuple(map(tuple, rows.tolist())))
     return evidence
 
 
@@ -251,34 +258,25 @@ def d_separated(dag: Dag, a, b, c=()) -> bool:
     parents: defaultdict[int, set[int]] = defaultdict(set)
     for j, i in dag.edges:
         parents[i].add(j)
-    ancestral = set()
-    stack = list(setA | setB | setC)
-    while stack:
-        v = stack.pop()
-        if v in ancestral:
-            continue
-        ancestral.add(v)
-        stack.extend(parents[v])
+    ancestral = _reach(setA | setB | setC, lambda v: parents[v])
     adjacency = {v: set() for v in ancestral}
     for i in ancestral:
-        ps = parents[i] & ancestral
-        for j in ps:
-            adjacency[i].add(j)
-            adjacency[j].add(i)
-        for j, k in itertools.combinations(sorted(ps), 2):
+        # moralize: link every two of i and its parents (ancestral too)
+        for j, k in itertools.combinations(parents[i] | {i}, 2):
             adjacency[j].add(k)
             adjacency[k].add(j)
-    reachable = set()
-    stack = [v for v in setA if v not in setC]
+    return not _reach(setA, lambda v: adjacency[v] - setC) & setB
+
+
+def _reach(start, step) -> set:
+    # every vertex reached from `start` by following step(vertex)
+    seen, stack = set(), list(start)
     while stack:
         v = stack.pop()
-        if v in reachable:
-            continue
-        reachable.add(v)
-        if v in setB:
-            return False
-        stack.extend(w for w in adjacency[v] if w not in setC and w not in reachable)
-    return True
+        if v not in seen:
+            seen.add(v)
+            stack.extend(step(v))
+    return seen
 
 
 def dependence_subtree(tree: StagedTree, aldag: Aldag, target: int) -> StagedTree:

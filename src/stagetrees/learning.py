@@ -447,11 +447,13 @@ def learn_dag(data: Dataset, cfg: SearchConfig = SearchConfig(),
     moves that add or drop one parent j < i; ties go to the smallest j among
     deltas within TIE_TOLERANCE.  `cfg.max_iter` caps the toggles per child
     and `cfg.scope` selects the children.  A `sink` variable, if given, is
-    blocked from having outgoing edges.
+    blocked from having outgoing edges; it is a Python or numpy integer.
     """
     p = data.space.p
-    if sink is not None and not 0 <= sink < p:
-        raise InvalidArgumentError(f"sink {sink} out of range")
+    if sink is not None:
+        sink = _integer(sink, "sink")
+        if not 0 <= sink < p:
+            raise InvalidArgumentError(f"sink {sink} out of range")
     tree, _ = _run_search(partial(_parent_toggles, sink=sink),
                           StagedTree.one_stage(data.space), data, cfg)
     sizes = data.space.level_counts
@@ -481,6 +483,12 @@ def enumerate_orders(data: Dataset, fixed_last: int | str | None = None,
     The returned tree is the algorithm's search on the data in the winning
     order, the tree `learn --order` gives.
 
+    The DP finds the order that searching every order whole finds only when
+    a level search does not depend on its vertices' layout (see the module
+    docstring).  For `csbhc` this often fails: exact ties go by stage ids,
+    which follow the layout, and its merges do not commute, so the order
+    returned can score worse than the best whole-search order.
+
     UnsupportedSizeError is raised before any search when the level tables
     hold more than MAX_CELLS rows in total, or when bhc's largest S x S
     candidate matrix exceeds MAX_CELLS entries.
@@ -490,7 +498,8 @@ def enumerate_orders(data: Dataset, fixed_last: int | str | None = None,
         raise InvalidArgumentError(f"unknown search algorithm {algo!r}")
     last = None
     if fixed_last is not None:
-        last = data.space.index_of(fixed_last) if isinstance(fixed_last, str) else int(fixed_last)
+        last = (data.space.index_of(fixed_last) if isinstance(fixed_last, str)
+                else _integer(fixed_last, "fixed_last"))
         if not 0 <= last < p:
             raise InvalidArgumentError(f"fixed_last {fixed_last!r} out of range")
     searched = set(_levels_to_search(p, cfg))

@@ -30,11 +30,18 @@ class FitConfig:
 
     smoothing : additive count added to every cell (0 = pure MLE; a stage
         that was never observed then falls back to the uniform distribution).
+        A finite Python or numpy real, stored as float; a bool, a string or
+        a NaN or infinite value is refused with InvalidArgumentError.
     """
 
     smoothing: float = 0.0
 
     def __post_init__(self) -> None:
+        value = self.smoothing
+        if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
+                or not math.isfinite(value)):
+            raise InvalidArgumentError(f"smoothing must be a finite real number, got {value!r}")
+        object.__setattr__(self, "smoothing", float(value))
         if self.smoothing < 0:
             raise InvalidArgumentError("smoothing must be nonnegative")
 

@@ -159,6 +159,27 @@ class TestStagedTreeToAldag:
         ev = evidence[(1, 2)]
         assert ev.context_witnesses == (((0, 0),),)   # the column x0 = 0
 
+    def test_labelling_decodes_no_witness(self, monkeypatch):
+        # x2 given (x0, x1): partial in x1; x3 ignores x2 when x0 = 0 (context);
+        # x4 is x2 xor x3 (local)
+        tree = st.StagedTree(space_of(2, 3, 2, 2, 2), (
+            (0, 1), (0, 0, 1, 2, 2, 3), (0,) * 6 + (1, 2) * 3,
+            tuple(x2 ^ x3 for *_, x2, x3 in itertools.product(range(2), range(3),
+                                                              range(2), range(2)))))
+
+        def no_decoding(self, columns):
+            raise AssertionError("a witness context was decoded")
+        monkeypatch.setattr(st.EdgeEvidence, "_contexts", no_decoding)
+        aldag, evidence = st.staged_tree_to_aldag(tree)
+        assert {(2, 3): L.CONTEXT, (1, 2): L.PARTIAL, (3, 4): L.LOCAL}.items() \
+            <= aldag.labels.items()
+        assert set(evidence[(3, 4)].column_counts) == {2}
+        # the witnesses are read through that one decoder when asked for
+        with pytest.raises(AssertionError, match="decoded"):
+            evidence[(2, 3)].context_witnesses
+        with pytest.raises(AssertionError, match="decoded"):
+            evidence[(1, 2)].partial_witnesses
+
 
 class TestMinimality:
     def test_returned_dag_is_minimal(self):

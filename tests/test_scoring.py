@@ -174,6 +174,17 @@ class TestScore:
         with pytest.raises(st.InvalidArgumentError):
             st.FitConfig(smoothing=-0.5)
 
+    @pytest.mark.parametrize("smoothing", [math.nan, math.inf, -math.inf, np.float64("nan"),
+                                           "1", True, np.bool_(True), None])
+    def test_mistyped_smoothing_refused(self, smoothing):
+        with pytest.raises(st.InvalidArgumentError, match="finite real"):
+            st.FitConfig(smoothing=smoothing)
+
+    def test_smoothing_stored_as_float(self):
+        assert [st.FitConfig(smoothing=s).smoothing for s in (1, np.int8(2), np.float32(0.5))] \
+            == [1.0, 2.0, 0.5]
+        assert type(st.FitConfig(smoothing=np.float32(0.5)).smoothing) is float
+
 
 class TestLoglik:
     def test_rows_equal_per_vector_reference(self):
