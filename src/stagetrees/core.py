@@ -66,6 +66,12 @@ class UnsupportedSizeError(ValueError):
     """A size guard was exceeded."""
 
 
+def _integer(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 # ---------------------------------------------------------------------------
 # sample space and lexicographic indexing
 
@@ -139,6 +145,7 @@ class SampleSpace:
         return itertools.product(*(range(k) for k in self.level_counts[:length]))
 
     def reorder(self, order: Sequence[int]) -> "SampleSpace":
+        order = [_integer(i, "a variable index") for i in order]
         if sorted(order) != list(range(self.p)):
             raise InvalidArgumentError("order must be a permutation of the variables")
         return SampleSpace(tuple(self.variables[i] for i in order))
@@ -406,6 +413,7 @@ class Dataset:
 
     space: SampleSpace
     counts: np.ndarray
+    _tables: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         try:
@@ -423,7 +431,6 @@ class Dataset:
             raise InvalidArgumentError(f"the counts total more than {MAX_COUNT}")
         counts.flags.writeable = False
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "_tables", {})
 
     @classmethod
     def from_config_counts(cls, space: SampleSpace,
@@ -452,27 +459,30 @@ class Dataset:
     def tensor(self) -> np.ndarray:
         return self.counts.reshape(self.space.level_counts)
 
-    def level_table(self, depth: int) -> np.ndarray:
-        """Counts indexed (prefix of the first `depth` variables, variable depth).
+    def table(self, preds: Sequence[int], v: int) -> np.ndarray:
+        """Counts of variable `v` given the ordered variables `preds`, the rest summed out.
 
-        Row r is the lexicographic prefix r; column v the level of variable
-        `depth`.  Cached; the returned array is read-only.
+        Row r is configuration r of `preds` in the order given, last
+        coordinate fastest; column k is level k of `v`.  The array is float64
+        and read-only; the last table built for each `v` is kept.
         """
-        cache = self._tables  # type: ignore[attr-defined]
-        if depth not in cache:
-            t = self.tensor()
-            if depth + 1 < self.space.p:
-                t = t.sum(axis=tuple(range(depth + 1, self.space.p)))
-            table = np.ascontiguousarray(
-                t.reshape(self.space.prefix_cells(depth), self.space.level_counts[depth]),
-                dtype=np.float64)
-            table.flags.writeable = False
-            cache[depth] = table
-        return cache[depth]
+        keep = [_integer(i, "a variable index") for i in (*preds, v)]
+        if len(set(keep).intersection(range(self.space.p))) < len(keep):
+            raise InvalidArgumentError(f"table indices must be distinct and below {self.space.p}")
+        preds, v = tuple(keep[:-1]), keep[-1]
+        if v not in self._tables or self._tables[v][0] != preds:
+            others = tuple(i for i in range(self.space.p) if i not in keep)
+            # summed in int64 and cast once (exact); an empty sum would copy the tensor
+            t = self.tensor().sum(axis=others) if others else self.tensor()
+            t = np.ascontiguousarray(t.transpose([sorted(keep).index(i) for i in keep]),
+                                     dtype=np.float64).reshape(-1, self.space.level_counts[v])
+            t.flags.writeable = False
+            self._tables[v] = preds, t
+        return self._tables[v][1]
 
     def reorder(self, order: Sequence[int | str]) -> "Dataset":
         """Dataset over the permuted variable order."""
-        idx = [self.space.index_of(v) if isinstance(v, str) else int(v) for v in order]
-        space = self.space.reorder(idx)
+        idx = [self.space.index_of(v) if isinstance(v, str) else v for v in order]
+        space = self.space.reorder(idx)  # refuses a bool or float index
         counts = np.transpose(self.tensor(), idx).reshape(-1)
         return Dataset(space, counts)

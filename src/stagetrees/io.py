@@ -210,7 +210,7 @@ def _atomic_write(path, text: str) -> None:
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f"tmp{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -252,7 +252,7 @@ def _decode(text: str, what: str, build):
 def _load(path, what: str, build):
     """`_decode` the document in a file; an unreadable file is an InvalidArgumentError."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as err:
         raise InvalidArgumentError(f"cannot read {what} {path}: {err}") from None

@@ -17,14 +17,13 @@ below the tolerance, so they tie.  Each level runs to its local fixpoint;
 scores decompose over levels, so that is a fixpoint of the model.
 
 `enumerate_orders` uses the same decomposition across orders: it runs
-`_search_level` once per (predecessor set, variable), on a level table
-summed straight from the count tensor with the predecessors in index order,
-and a dynamic program combines the level terms those searches return.
-A level search sees its vertices in that layout, and the tie rule and the
-greedy path can depend on it; a whole search of one order lays a level out
-in that order's prefix instead.  So the DP finds the order that full
-enumeration of whole searches finds whenever a level search's result does
-not depend on the vertex layout.
+`_search_level` once per (predecessor set, variable), on the variable's
+`Dataset.table` with the predecessors in index order, and a dynamic program
+combines the level terms those searches return.  A whole search of one
+order lays a level out in that order's prefix instead, and the tie rule and
+the greedy path can depend on the layout.  So the DP finds the order that
+full enumeration of whole searches finds whenever a level search's result
+does not depend on the vertex layout.
 """
 from __future__ import annotations
 
@@ -44,6 +43,7 @@ from .core import (
     SampleSpace,
     StagedTree,
     UnsupportedSizeError,
+    _integer,
 )
 from .scoring import FitConfig, _loglik, _stage_counts, score
 
@@ -62,12 +62,6 @@ __all__ = [
 
 IMPROVEMENT_EPS = 1e-9
 TIE_TOLERANCE = 1e-9
-
-
-def _integer(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -358,8 +352,8 @@ def _run_search(candidates, start: StagedTree, data: Dataset, cfg: SearchConfig)
     sizes = start.space.level_counts
     vectors = list(start.stage_vectors)
     for depth in _levels_to_search(start.p, cfg):
-        assign, moves, _ = _search_level(candidates, data.level_table(depth), sizes[:depth],
-                                         (sizes[depth] - 1) * unit,
+        assign, moves, _ = _search_level(candidates, data.table(range(depth), depth),
+                                         sizes[:depth], (sizes[depth] - 1) * unit,
                                          np.array(start.symbols_at(depth)), cfg.max_iter)
         for kind, stages, delta in moves:
             steps.append(TraceStep(depth, kind, stages, current, current + delta))
@@ -467,12 +461,11 @@ def enumerate_orders(data: Dataset, fixed_last: int | str | None = None,
 
     Returns (best order as names, its tree).  The score of an order is the
     sum of one term per variable v, and the term depends only on the set S
-    of variables before v.  It is the term `_search_level` returns for the
-    table of v given S, summed straight from the count tensor with S in
-    index order, from the algorithm's default start (one stage for hc,
-    saturated otherwise); the root term is v's marginal.  `cfg.scope`
-    selects the depths |S| searched (other depths score their start), and
-    `cfg.max_iter` caps each level search.
+    of variables before v.  It is the term `_search_level` returns for
+    `data.table(S, v)`, S in index order, from the algorithm's default start
+    (one stage for hc, saturated otherwise); the root term is v's marginal.
+    `cfg.scope` selects the depths |S| searched (other depths score their
+    start), and `cfg.max_iter` caps each level search.
 
     The DP is a memoized recursion over sets S of free variables (all but
     `fixed_last`): the best total after S is the least, over the next v, of
@@ -526,9 +519,7 @@ def enumerate_orders(data: Dataset, fixed_last: int | str | None = None,
     def term(pre: int, v: int) -> float:
         # v's level term after the predecessor set `pre`
         preds = [i for i in range(p) if pre >> i & 1]
-        others = tuple(i for i in range(p) if i != v and not pre >> i & 1)
-        table = np.moveaxis(data.tensor().sum(axis=others), sum(i < v for i in preds), -1)
-        table = np.ascontiguousarray(table.reshape(-1, sizes[v]), dtype=np.float64)
+        table = data.table(preds, v)
         return _search_level(_MOVES[algo], table, tuple(sizes[i] for i in preds),
                              (sizes[v] - 1) * unit, _start_ids(algo, len(table)),
                              cfg.max_iter if len(preds) in searched else 0)[2]

@@ -93,7 +93,7 @@ def _stage_counts(table: np.ndarray, stage_ids, n_stages: int) -> np.ndarray:
 
 def _level_counts(tree: StagedTree, data: Dataset, depth: int) -> np.ndarray:
     """Count matrix of the stages at a depth; row s belongs to stage id s."""
-    return _stage_counts(data.level_table(depth), tree.symbols_at(depth),
+    return _stage_counts(data.table(range(depth), depth), tree.symbols_at(depth),
                          tree.stage_count(depth))
 
 

@@ -273,6 +273,28 @@ def csbhc_level_by_rescan(table, sizes, penalty: float, assign, max_iter=None):
     return _level_by_rescan(table, penalty, assign, max_iter, candidates)
 
 
+def table_by_tally(sizes, counts, preds, v) -> list[list[int]]:
+    """Counts of variable `v` given the ordered `preds`, by a loop over every cell.
+
+    Cell x sits at position x_0 * (sizes[1] * ...) + ... + x_{p-1} of `counts`;
+    its count goes to row x[preds[0]] * (sizes[preds[1]] * ...) + ... and
+    column x[v], both positions computed digit by digit.
+    """
+    rows = 1
+    for i in preds:
+        rows *= sizes[i]
+    out = [[0] * sizes[v] for _ in range(rows)]
+    for x in itertools.product(*(range(k) for k in sizes)):
+        cell = 0
+        for i, k in enumerate(sizes):
+            cell = cell * k + x[i]
+        row = 0
+        for i in preds:
+            row = row * sizes[i] + x[i]
+        out[row][x[v]] += int(counts[cell])
+    return out
+
+
 def learn_dag_by_global_toggles(data, score: str = "bic", sink=None,
                                 tolerance: float = 1e-9, improvement: float = 1e-9):
     """Order-respecting DAG search by global steepest descent over edge toggles.

@@ -215,6 +215,32 @@ class TestLearn:
             outputs.append(result)
         assert outputs[0] == outputs[1]
 
+    def test_documents_are_utf8_whatever_the_locale(self, tmp_path):
+        # under the C locale with UTF-8 mode off, Python's default encoding is ASCII
+        path = [str(Path(st.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONUTF8="0", LC_ALL="C",
+                   PYTHONPATH=os.pathsep.join(filter(None, path)))
+        (tmp_path / "d.csv").write_text(
+            "Âge,b,count\njeune,0,30\njeune,1,10\nâgé,0,10\nâgé,1,30\n", encoding="utf-8")
+        (tmp_path / "dag.json").write_text(
+            '{"format_version":1,"p":2,"variables":["Âge","b"],"edges":[[0,1]]}\n',
+            encoding="utf-8")
+        data = ["--data", "d.csv", "--count-column", "count"]
+        failed = []
+        for argv in (["learn", *data, "--out", "m.json"],
+                     ["aldag", "--model", "m.json", "--out", "a.json", "--dot", "a.dot"],
+                     ["subtree", "--model", "m.json", "--target", "b", "--out", "s.json",
+                      "--dot", "s.dot"],
+                     ["refine", *data, "--dag", "dag.json", "--out", "r.json"]):
+            done = subprocess.run([sys.executable, "-m", "stagetrees", *argv], cwd=tmp_path,
+                                  env=env, capture_output=True)
+            if done.returncode:
+                failed.append((argv[0], done.stderr))
+        assert failed == []
+        assert '"Âge" -> "b"' in (tmp_path / "a.dot").read_text(encoding="utf-8")
+        assert 'label="âgé"' in (tmp_path / "s.dot").read_text(encoding="utf-8")
+        assert st.load_dag(tmp_path / "dag.json")[1] == ["Âge", "b"]
+
     def test_explicit_order(self, capsys, tmp_path, titanic_csv):
         out_path = tmp_path / "m.json"
         code, out, _ = run(capsys, "learn", "--data", titanic_csv,

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as hs
 import stagetrees as st
 
 from conftest import random_space, random_staging
+from oracles import table_by_tally
 
 
 def space_of(*sizes: int) -> st.SampleSpace:
@@ -270,12 +271,12 @@ class TestDataset:
         assert data.counts.tolist() == [5, 0, 0, 1]
         assert data.n == 6
 
-    def test_level_table_matches_manual_tally(self):
+    def test_table_matches_manual_tally(self):
         space = space_of(2, 3, 2)
         rng = np.random.default_rng(3)
         counts = rng.integers(0, 9, size=space.n_cells).astype(np.int64)
         data = st.Dataset(space, counts)
-        table = data.level_table(1)
+        table = data.table((0,), 1)
         assert table.shape == (2, 3)
         for prefix_idx in range(2):
             for level in range(3):
@@ -323,6 +324,56 @@ class TestDataset:
         assert int(titanic.tensor().sum()) == 2201
 
 
+def draw_dataset(draw, max_p: int = 5) -> st.Dataset:
+    """1..max_p variables of 2..4 levels, with counts that are often zero."""
+    space = space_of(*draw.draw(hs.lists(hs.integers(2, 4), min_size=1, max_size=max_p)))
+    rng = np.random.default_rng(draw.draw(hs.integers(0, 2**32 - 1)))
+    zero = draw.draw(hs.sampled_from([0.0, 0.5, 0.9]))
+    counts = rng.integers(0, 50, size=space.n_cells) * (rng.random(space.n_cells) >= zero)
+    return st.Dataset(space, counts)
+
+
+class TestTable:
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(hs.data())
+    def test_requests_match_the_tally(self, draw):
+        # one Dataset answers a random sequence of requests, repeats included,
+        # so a table served from a stale cache entry fails the comparison
+        data = draw_dataset(draw)
+        sizes, requests = data.space.level_counts, []
+        for _ in range(draw.draw(hs.integers(1, 8))):
+            if requests and draw.draw(hs.booleans()):
+                requests.append(draw.draw(hs.sampled_from(requests)))
+                continue
+            v = draw.draw(hs.integers(0, data.space.p - 1))
+            others = draw.draw(hs.permutations([i for i in range(data.space.p) if i != v]))
+            requests.append((tuple(others[:draw.draw(hs.integers(0, len(others)))]), v))
+        for preds, v in requests:
+            table = data.table(preds, v)
+            assert table.dtype == np.float64 and not table.flags.writeable
+            assert np.array_equal(table, table_by_tally(sizes, data.counts, preds, v))
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(hs.data())
+    def test_reordered_prefix_is_the_table_of_the_order(self, draw):
+        # `learn --order` searches the reordered data's prefix tables, the
+        # order search the tables of the original data
+        data = draw_dataset(draw)
+        order = draw.draw(hs.permutations(range(data.space.p)))
+        reordered = data.reorder(order)
+        for d in range(data.space.p):
+            assert np.array_equal(reordered.table(range(d), d),
+                                  data.table(order[:d], order[d]))
+
+    @pytest.mark.parametrize("preds,v", [
+        ((0, 0), 1), ((0,), 4), ((-1,), 0), ((1,), 1), ((True,), 0), ((0,), 1.0), ((0.0,), 1),
+    ], ids=["repeated", "out-of-range", "negative", "v-in-preds", "bool", "float-v",
+            "float-pred"])
+    def test_refused(self, titanic, preds, v):
+        with pytest.raises(st.InvalidArgumentError):
+            titanic.table(preds, v)
+
+
 class TestRefusals:
     @pytest.mark.parametrize("call,error,match", [
         (lambda s: st.SampleSpace((("a", ("x", "x")),)), st.InvalidArgumentError,
@@ -352,6 +403,15 @@ class TestRefusals:
     def test_refused(self, call, error, match):
         with pytest.raises(error, match=match):
             call(space_of(2, 2))
+
+    @pytest.mark.parametrize("call", [
+        lambda d: d.reorder([1.5, 0, 2, 3]),
+        lambda d: d.reorder([True, 0, 2, 3]),
+        lambda d: d.space.reorder([1.0, 0.0, 2.0, 3.0]),
+    ], ids=["dataset-float", "dataset-bool", "space-float"])
+    def test_mistyped_variable_indices_refused(self, titanic, call):
+        with pytest.raises(st.InvalidArgumentError, match="must be an integer"):
+            call(titanic)
 
     def test_dataset_is_not_equal_to_other_types(self):
         assert (st.Dataset(space_of(2, 2), [1, 2, 3, 4]) == 5) is False
