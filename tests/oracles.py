@@ -9,10 +9,14 @@ counts and cached deltas change no bit of the result.
 """
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 
 import numpy as np
+
+from stagetrees.core import MAX_COUNT, Dataset, InvalidArgumentError, SampleSpace
+from stagetrees.io import NA_TOKENS, DataError, _column_names
 
 
 def edge_label_brute_force(tree, j: int, i: int) -> str | None:
@@ -593,3 +597,102 @@ def index_order_objective_by_permutations(data, fixed_last=None, algo="bhc", cfg
         results.append((total, order))
     total, order = _order_pick(results)
     return tuple(space.names[i] for i in order), total
+
+
+# ---------------------------------------------------------------------------
+# CSV ingest, one line at a time
+
+def _parse_count_of_line(text: str, line: int) -> int:
+    shown = text if len(text) <= 24 else text[:20] + "..."
+    # ASCII digits only: `int` would also take a sign, `_` and other scripts' digits
+    if not (text.isascii() and text.isdigit()):
+        raise DataError("bad-count", f"line {line}: count {shown!r} is not made of the digits 0-9")
+    # refused by length before `int`, whose digit limit would call it malformed
+    if len(digits := text.lstrip("0")) > len(str(MAX_COUNT)):
+        raise DataError("bad-count", f"line {line}: count {shown!r} has {len(digits)} "
+                        f"digits, more than the {MAX_COUNT} supported")
+    return int(digits or "0")
+
+
+def read_csv_by_rows(path, header: bool = True, order=None, na_policy: str = "drop-row",
+                     levels=None, count_column: str | None = None) -> Dataset:
+    """`stagetrees.read_csv` as it read rows one line at a time.
+
+    Every non-empty row is checked, stripped, parsed and tallied where it
+    stands, so each error names the line being read; the package instead
+    checks each distinct raw row once and must give the same `Dataset` and
+    the same `DataError`s.
+    """
+    if na_policy not in ("drop-row", "error"):
+        raise InvalidArgumentError(f"unknown na_policy {na_policy!r}")
+    # configuration -> total count; insertion order is first appearance, and
+    # count-0 rows keep their key so they still declare their levels
+    tally: dict[tuple[str, ...], int] = {}
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            first, names = _column_names(reader, header, path)
+            column = {name: i for i, name in enumerate(names)}
+            if count_column is not None and count_column not in column:
+                raise DataError("unknown-variable", f"count column {count_column!r} not in {names}")
+            if order is None:
+                selected = [n for n in names if n != count_column]
+            else:
+                selected = list(order)
+                if len(set(selected)) != len(selected):
+                    raise DataError("unknown-variable", f"repeated names in order {selected}")
+                for name in selected:
+                    if name not in column:
+                        raise DataError("unknown-variable", f"column {name!r} not in {names}")
+                if count_column is not None and count_column in selected:
+                    raise DataError("unknown-variable",
+                                    f"count column {count_column!r} cannot also be a variable")
+            if not selected:
+                raise DataError("empty", "no variable columns selected")
+            picks = [column[name] for name in selected]
+            for row in reader if header else itertools.chain([first], reader):
+                if not row:
+                    continue
+                if len(row) != len(names):
+                    raise DataError("ragged", f"line {reader.line_num}: expected {len(names)} "
+                                    f"fields, got {len(row)}")
+                values = tuple(row[i].strip() for i in picks)
+                count = 1 if count_column is None else _parse_count_of_line(
+                    row[column[count_column]].strip(), reader.line_num)
+                if not NA_TOKENS.isdisjoint(values):
+                    if na_policy == "error":
+                        raise DataError("missing", f"line {reader.line_num}: missing value")
+                    continue
+                tally[values] = tally.get(values, 0) + count
+    except (OSError, UnicodeDecodeError, csv.Error) as err:
+        raise DataError("unreadable", f"cannot read {path}: {err}") from None
+    total = sum(tally.values())
+    if not total:
+        raise DataError("empty", f"{path}: no complete observations")
+    if total > MAX_COUNT:
+        raise DataError("bad-count", f"{path}: the counts total {total}, more than the "
+                        f"{MAX_COUNT} supported")
+
+    levels = dict(levels or {})
+    for name in levels:
+        if name not in column:
+            raise DataError("unknown-variable", f"levels given for unknown column {name!r}")
+    variable_levels: list[tuple[str, ...]] = []
+    for pos, name in enumerate(selected):
+        observed = tuple(dict.fromkeys(values[pos] for values in tally))
+        if name in levels:
+            pinned = tuple(str(v) for v in levels[name])
+            extra = sorted(set(observed) - set(pinned))
+            if extra:
+                raise DataError("unknown-level",
+                                f"column {name!r}: values {extra} not among declared levels {list(pinned)}")
+            observed = pinned
+        if len(observed) < 2:
+            raise DataError("degenerate", f"column {name!r} has fewer than two levels")
+        variable_levels.append(observed)
+
+    space = SampleSpace(tuple(zip(selected, variable_levels)))
+    index = [{lvl: i for i, lvl in enumerate(lv)} for lv in variable_levels]
+    return Dataset.from_config_counts(
+        space, ((tuple(index[i][v] for i, v in enumerate(values)), count)
+                for values, count in tally.items()))

@@ -9,8 +9,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as hs
 
 import stagetrees as st
+from oracles import read_csv_by_rows
 from stagetrees.cli import main
 
 L = st.DependenceLabel
@@ -302,6 +304,110 @@ class TestReadCsv:
             "Class": ("1st", "2nd", "3rd", "Crew"), "Gender": ("Male", "Female"),
             "Survived": ("No", "Yes"), "Age": ("Child", "Adult")})
         assert again == titanic
+
+
+# what a generated CSV field is drawn from: values padded or quoted (around a
+# separator or a line break too), and, drawn rarely, the missing-value tokens
+# and the refused counts: signed, non-digit, oversized or blank
+CSV_VALUES = ("x", "y", "z", " x", "y ", '"x"', '"x,y"', '"y\nz"', '" z "')
+CSV_MISSING = ("NA", "?", "", "nan")
+CSV_COUNTS = ("0", "1", "2", "007", " 3 ")
+CSV_BAD_COUNTS = ("-1", "two", "1" * 17, "9" * 16, "")
+
+
+@hs.composite
+def csv_cases(draw) -> tuple[bytes, dict]:
+    """The bytes of a CSV file and `read_csv` keyword arguments to read it with.
+
+    Each fault is drawn rarely, so that about a third of the cases read a
+    `Dataset` and the rest spread over every refusal.
+    """
+    def rarely(common, rare):
+        return hs.sampled_from([*common] * 10 + [*rare])
+
+    n_vars, counted, header = draw(hs.integers(1, 3)), draw(hs.booleans()), draw(hs.booleans())
+    width = n_vars + counted
+    names = list("abc"[:n_vars]) if header else [f"v{k}" for k in range(width)]
+    at = draw(hs.integers(0, n_vars))
+    if counted and header:
+        names.insert(at, "n")
+    fields = [rarely(CSV_COUNTS, CSV_BAD_COUNTS) if counted and k == at
+              else rarely(CSV_VALUES, CSV_MISSING) for k in range(width)]
+    full = hs.tuples(*fields).map(",".join)
+    ragged = hs.lists(hs.sampled_from(CSV_VALUES), min_size=1, max_size=width + 1).filter(
+        lambda row: len(row) != width).map(",".join)
+    # rows come from a small pool so that they repeat
+    kinds = draw(hs.lists(rarely([full], [ragged, hs.just("")]), min_size=3, max_size=6))
+    pool = [draw(kind) for kind in kinds]
+    rows = draw(hs.permutations(pool + draw(hs.lists(hs.sampled_from(pool), max_size=12))))
+    lines = ([",".join(names)] if header else []) + rows
+    eol = draw(hs.sampled_from(["\n", "\r\n"]))
+    raw = [line.encode() for line in lines]
+    if corrupt := draw(rarely([b""], [b"\xff\xfe", b"x\x00y"])):
+        raw.insert(draw(hs.integers(0, len(raw))), corrupt)
+    data = eol.encode().join(raw) + draw(hs.sampled_from([b"", eol.encode()]))
+    if draw(hs.booleans()):
+        data = b"\xef\xbb\xbf" + data
+
+    kwargs = {"header": header, "na_policy": draw(hs.sampled_from(["drop-row", "error"]))}
+    variables = [name for k, name in enumerate(names) if not (counted and k == at)]
+    if counted:
+        kwargs["count_column"] = names[at]
+    if draw(hs.booleans()):
+        # now and then a name that is not a variable, or a repeat
+        kwargs["order"] = draw(hs.lists(hs.sampled_from(variables), min_size=1, unique=True)) + \
+            draw(rarely([[]], [["q"], names[at:at + 1]]))
+    selected = [name for name in kwargs.get("order", variables) if name in variables]
+    if selected and draw(hs.booleans()):
+        kwargs["levels"] = {name: tuple(draw(hs.lists(hs.sampled_from(["x", "y", "z", "x,y"]),
+                                                      min_size=1, max_size=3, unique=True)))
+                            for name in draw(hs.lists(hs.sampled_from(selected), unique=True))}
+    return data, kwargs
+
+
+def csv_outcome(read, path, kwargs):
+    """A read's space and counts, or the error it raised."""
+    try:
+        data = read(path, **kwargs)
+    except st.DataError as err:
+        return "DataError", err.code, str(err)
+    except st.InvalidArgumentError as err:
+        return "InvalidArgumentError", str(err)
+    return data.space, data.counts.tolist()
+
+
+class TestReadCsvAgainstRows:
+    """`read_csv` against `read_csv_by_rows`, which reads one line at a time."""
+
+    @given(case=csv_cases())
+    @settings(derandomize=True, deadline=None, max_examples=300,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_same_dataset_or_error(self, tmp_path, case):
+        data, kwargs = case
+        f = tmp_path / "d.csv"
+        f.write_bytes(data)
+        assert csv_outcome(st.read_csv, f, kwargs) == csv_outcome(read_csv_by_rows, f, kwargs)
+
+    @pytest.mark.parametrize("data,kwargs,expected", [
+        # a data row spelled like the header is still found on its own line
+        (b"a,n\nx,1\na,n\n", {"count_column": "n"}, ("bad-count", 3)),
+        # the first line of a bad row that repeats
+        (b"a,n\nx,1\n\ny,two\nx,1\ny,two\n", {"count_column": "n"}, ("bad-count", 4)),
+        # a ragged line wins over an undecodable or NUL line past it, some
+        # 8 KiB decoding blocks further on
+        (b"a,b\n" + b"x,0\n" * 3000 + b"y\n" + b"x,1\n" * 3000 + b"\xff\n", {}, ("ragged", 3002)),
+        (b"a,b\n" + b"x,0\n" * 3000 + b"y\n" + b"x,1\n" * 3000 + b"x\x00,1\n", {},
+         ("ragged", 3002)),
+    ], ids=["header-spelled-row", "repeated-bad-row", "ragged-before-undecodable",
+            "ragged-before-nul"])
+    def test_first_bad_line(self, tmp_path, data, kwargs, expected):
+        f = tmp_path / "d.csv"
+        f.write_bytes(data)
+        code, line = expected
+        outcome = csv_outcome(st.read_csv, f, kwargs)
+        assert outcome == csv_outcome(read_csv_by_rows, f, kwargs)
+        assert outcome[:2] == ("DataError", code)
+        assert outcome[2].startswith(f"line {line}:")
 
 
 class TestLoadTitanic:
