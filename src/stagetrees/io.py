@@ -6,6 +6,7 @@ save -> load -> save reproduces the file exactly.
 """
 from __future__ import annotations
 
+import collections
 import csv
 import importlib.resources
 import itertools
@@ -43,6 +44,8 @@ __all__ = [
 
 NA_TOKENS = frozenset({"", "NA", "NaN", "nan", "?"})
 
+_CHUNK = 2**14  # raw rows tallied at a time: an unselected unique column holds few
+
 FORMAT_VERSION = 1
 
 LABEL_COLORS = {
@@ -71,14 +74,14 @@ class DataError(Exception):
 # ---------------------------------------------------------------------------
 # CSV
 
-def _parse_count(text: str, line: int) -> int:
+def _parse_count(text: str) -> int:
     shown = text if len(text) <= 24 else text[:20] + "..."
     # ASCII digits only: `int` would also take a sign, `_` and other scripts' digits
     if not (text.isascii() and text.isdigit()):
-        raise DataError("bad-count", f"line {line}: count {shown!r} is not made of the digits 0-9")
+        raise DataError("bad-count", f"count {shown!r} is not made of the digits 0-9")
     # refused by length before `int`, whose digit limit would call it malformed
     if len(digits := text.lstrip("0")) > len(str(MAX_COUNT)):
-        raise DataError("bad-count", f"line {line}: count {shown!r} has {len(digits)} "
+        raise DataError("bad-count", f"count {shown!r} has {len(digits)} "
                         f"digits, more than the {MAX_COUNT} supported")
     return int(digits or "0")
 
@@ -103,12 +106,42 @@ def _csv_columns(path, header: bool = True) -> list[str]:
         raise DataError("unreadable", f"cannot read {path}: {err}") from None
 
 
+def _tally_rows(tally: dict, rows, width: int, picks, count_at, na_policy: str):
+    """Add non-empty `rows` to `tally` by chunks, each distinct raw row of a chunk
+    checked once in first-appearance order. Return the first bad row and its
+    line-less DataError, else (None, None); a read error waits for the rows before it."""
+    while True:
+        chunk, held = collections.Counter(), None
+        try:
+            chunk.update(itertools.islice(rows, _CHUNK))
+        except (UnicodeDecodeError, csv.Error) as err:
+            held = err
+        for raw, repeats in chunk.items():
+            try:
+                if len(raw) != width:
+                    raise DataError("ragged", f"expected {width} fields, got {len(raw)}")
+                values = tuple(raw[i].strip() for i in picks)
+                count = 1 if count_at is None else _parse_count(raw[count_at].strip())
+                if not NA_TOKENS.isdisjoint(values):
+                    if na_policy == "error":
+                        raise DataError("missing", "missing value")
+                    continue
+            except DataError as err:
+                return raw, err
+            tally[values] = tally.get(values, 0) + count * repeats
+        if held is not None:
+            raise held
+        if not chunk:
+            return None, None
+
+
 def read_csv(path, header: bool = True, order=None, na_policy: str = "drop-row",
              levels=None, count_column: str | None = None) -> Dataset:
     """Read categorical observations (or weighted configurations) into counts.
 
-    One pass tallies distinct configurations, so memory grows with their
-    number, not with the rows; errors name physical lines of the file.
+    Equal raw rows are tallied first, so each distinct one is checked once;
+    memory grows with the distinct configurations, not with the rows, and
+    errors name physical lines of the file.
 
     Parameters
     ----------
@@ -120,14 +153,17 @@ def read_csv(path, header: bool = True, order=None, na_policy: str = "drop-row",
         order.
     na_policy : "drop-row" silently removes rows containing a missing token
         (one of NA_TOKENS); "error" raises instead.
-    levels : optional mapping of column name to its ordered level names;
-        unlisted columns get their observed values in first-appearance
+    levels : optional mapping of variable name to its ordered level names;
+        unlisted variables get their observed values in first-appearance
         order.
     count_column : optional column holding a nonnegative integer
         multiplicity per row; such a column is never treated as a variable.
     """
     if na_policy not in ("drop-row", "error"):
         raise InvalidArgumentError(f"unknown na_policy {na_policy!r}")
+    levels = dict(levels or {})
+    if isinstance(order, str) or any(isinstance(lv, str) for lv in levels.values()):
+        raise InvalidArgumentError("order and each list of levels must be sequences, not strings")
     # configuration -> total count; insertion order is first appearance, and
     # count-0 rows keep their key so they still declare their levels
     tally: dict[tuple[str, ...], int] = {}
@@ -153,20 +189,15 @@ def read_csv(path, header: bool = True, order=None, na_policy: str = "drop-row",
             if not selected:
                 raise DataError("empty", "no variable columns selected")
             picks = [column[name] for name in selected]
-            for row in reader if header else itertools.chain([first], reader):
-                if not row:
-                    continue
-                if len(row) != len(names):
-                    raise DataError("ragged", f"line {reader.line_num}: expected {len(names)} "
-                                    f"fields, got {len(row)}")
-                values = tuple(row[i].strip() for i in picks)
-                count = 1 if count_column is None else _parse_count(
-                    row[column[count_column]].strip(), reader.line_num)
-                if not NA_TOKENS.isdisjoint(values):
-                    if na_policy == "error":
-                        raise DataError("missing", f"line {reader.line_num}: missing value")
-                    continue
-                tally[values] = tally.get(values, 0) + count
+            rows = map(tuple, filter(None, reader if header else itertools.chain([first], reader)))
+            raw, err = _tally_rows(tally, rows, len(names), picks, column.get(count_column),
+                                   na_policy)
+            if err is not None:
+                fh.seek(0)
+                reader = csv.reader(fh)
+                rows = itertools.islice(filter(None, reader), header, None)
+                line = next(reader.line_num for row in rows if tuple(row) == raw)
+                raise DataError(err.code, f"line {line}: {err}")
     except (OSError, UnicodeDecodeError, csv.Error) as err:
         raise DataError("unreadable", f"cannot read {path}: {err}") from None
     total = sum(tally.values())
@@ -176,10 +207,9 @@ def read_csv(path, header: bool = True, order=None, na_policy: str = "drop-row",
         raise DataError("bad-count", f"{path}: the counts total {total}, more than the "
                         f"{MAX_COUNT} supported")
 
-    levels = dict(levels or {})
     for name in levels:
-        if name not in column:
-            raise DataError("unknown-variable", f"levels given for unknown column {name!r}")
+        if name not in selected:
+            raise DataError("unknown-variable", f"levels given for {name!r}, not one of {selected}")
     variable_levels: list[tuple[str, ...]] = []
     for pos, name in enumerate(selected):
         observed = tuple(dict.fromkeys(values[pos] for values in tally))

@@ -166,6 +166,19 @@ class TestReadCsv:
             st.read_csv(f, **kwargs)
         assert err.value.code == code
 
+    @pytest.mark.parametrize("kwargs,error", [
+        ({"order": "ab"}, st.InvalidArgumentError),
+        ({"levels": {"a": "xy"}}, st.InvalidArgumentError),
+        ({"count_column": "n", "levels": {"n": ["q"]}}, st.DataError),
+        ({"order": ["a", "n"], "levels": {"b": ["0", "1"]}}, st.DataError),
+    ], ids=["order-string", "levels-string", "levels-of-count-column", "levels-of-unselected"])
+    def test_mistyped_order_and_levels(self, tmp_path, kwargs, error):
+        f = tmp_path / "d.csv"
+        f.write_text("a,b,n\nx,0,1\ny,1,2\n")
+        with pytest.raises(error) as err:
+            st.read_csv(f, **kwargs)
+        assert getattr(err.value, "code", "unknown-variable") == "unknown-variable"
+
     def test_unknown_na_policy(self, tmp_path):
         f = tmp_path / "d.csv"
         f.write_text("a,b\nx,0\ny,1\n")
@@ -217,6 +230,38 @@ class TestReadCsv:
         assert data.n == 200_000
         assert data.counts.tolist() == [25_000] * 8
         assert peak < 2 * 2**20
+
+    def test_memory_ignores_an_unselected_unique_column(self, tmp_path):
+        def read(rows):
+            f = tmp_path / f"{rows}.csv"
+            with open(f, "w") as fh:
+                fh.write("id,a,b,c\n")
+                fh.writelines(f"{i},{i & 1},{i >> 1 & 1},{i >> 2 & 1}\n" for i in range(rows))
+            tracemalloc.start()
+            try:
+                data = st.read_csv(f, order=["a", "b", "c"])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert data.counts.tolist() == [rows // 8] * 8
+            return peak
+
+        # every row is distinct, so each costs some 15 traced allocations:
+        # 250,000 rows in all keep the test to a few seconds
+        small = read(50_000)
+        peak = read(200_000)
+        assert peak < 4 * 2**20
+        assert peak <= 1.25 * small
+
+    def test_each_distinct_raw_row_is_parsed_once(self, tmp_path, monkeypatch):
+        calls = []
+        parse = st.io._parse_count
+        monkeypatch.setattr(st.io, "_parse_count", lambda text: calls.append(text) or parse(text))
+        f = tmp_path / "d.csv"
+        f.write_text("a,b,n\n" + "x,0,1\ny,1,2\n\nx,0, 1\n" * 100)
+        data = st.read_csv(f, count_column="n")
+        assert len(calls) == 3
+        assert data.counts.tolist() == [200, 0, 0, 200]
 
     def test_zero_count_row_declares_levels(self, tmp_path):
         f = tmp_path / "d.csv"
@@ -379,10 +424,12 @@ def csv_outcome(read, path, kwargs):
 class TestReadCsvAgainstRows:
     """`read_csv` against `read_csv_by_rows`, which reads one line at a time."""
 
+    @pytest.mark.parametrize("chunk", [st.io._CHUNK, 1, 3], ids=lambda c: f"chunk-{c}")
     @given(case=csv_cases())
-    @settings(derandomize=True, deadline=None, max_examples=300,
+    @settings(derandomize=True, deadline=None, max_examples=100,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_same_dataset_or_error(self, tmp_path, case):
+    def test_same_dataset_or_error(self, tmp_path, monkeypatch, chunk, case):
+        monkeypatch.setattr(st.io, "_CHUNK", chunk)
         data, kwargs = case
         f = tmp_path / "d.csv"
         f.write_bytes(data)
