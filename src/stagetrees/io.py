@@ -44,7 +44,7 @@ __all__ = [
 
 NA_TOKENS = frozenset({"", "NA", "NaN", "nan", "?"})
 
-_CHUNK = 2**14  # raw rows tallied at a time: an unselected unique column holds few
+_CHUNK = 2**14  # raw rows tallied at a time; bounds the memory a unique unselected column costs
 
 FORMAT_VERSION = 1
 
@@ -107,9 +107,9 @@ def _csv_columns(path, header: bool = True) -> list[str]:
 
 
 def _tally_rows(tally: dict, rows, width: int, picks, count_at, na_policy: str):
-    """Add non-empty `rows` to `tally` by chunks, each distinct raw row of a chunk
-    checked once in first-appearance order. Return the first bad row and its
-    line-less DataError, else (None, None); a read error waits for the rows before it."""
+    """Count equal raw `rows` a chunk at a time and add each distinct one to `tally`,
+    checked once, in first-appearance order. Returns the first bad row and its DataError,
+    which names no line, else (None, None); a read error waits for the rows before it."""
     while True:
         chunk, held = collections.Counter(), None
         try:
