@@ -11,7 +11,7 @@ import json
 import sys
 
 from .conversion import d_separated, dag_to_staged_tree, dependence_subtree, staged_tree_to_aldag
-from .core import Dataset, InvalidArgumentError, LABEL_ORDER
+from .core import Dataset, InvalidArgumentError, LABEL_ORDER, _index
 from .io import (DataError, ModelDocument, _csv_columns, _score_json, load_dag, load_space,
                  read_csv, write_dot)
 from .learning import SearchConfig, default_start, enumerate_orders, learn_dag, refine_dag, _SEARCHES
@@ -48,9 +48,7 @@ def _resolve_vertex(token: str, p: int, names) -> int:
         i = int(token)
     except ValueError:
         raise InvalidArgumentError(f"unknown variable {token!r}") from None
-    if not 0 <= i < p:
-        raise InvalidArgumentError(f"vertex {i} out of range for p = {p}")
-    return i
+    return _index(i, p, "vertex")
 
 
 # ---------------------------------------------------------------------------

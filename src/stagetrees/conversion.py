@@ -24,6 +24,7 @@ from .core import (
     InvalidArgumentError,
     SampleSpace,
     StagedTree,
+    _index,
     lex_index,
 )
 
@@ -204,8 +205,8 @@ def classify_edge_oracle(tree: StagedTree, j: int, i: int) -> DependenceLabel:
     the rules of `_classify_level`.  Independent of the matrix-reshape route
     and used to cross-check it.
     """
-    if not 0 <= j < i < tree.p:
-        raise InvalidArgumentError(f"({j}, {i}) is not an ordered variable pair")
+    i = _index(i, tree.p, "head")
+    j = _index(j, i, "tail")
     sizes = tree.space.level_counts
     symbols = tree.symbols_at(i)
     m = sizes[j]
@@ -245,11 +246,7 @@ def d_separated(dag: Dag, a, b, c=()) -> bool:
     co-parents, drop directions, delete the conditioning set, and test
     connectivity.
     """
-    setA, setB, setC = set(a), set(b), set(c)
-    for s in (setA, setB, setC):
-        for v in s:
-            if not 0 <= v < dag.p:
-                raise InvalidArgumentError(f"vertex {v} out of range")
+    setA, setB, setC = ({_index(v, dag.p, "vertex") for v in s} for s in (a, b, c))
     if setA & setB or setA & setC or setB & setC:
         raise InvalidArgumentError("query sets must be disjoint")
     if not setA or not setB:
@@ -292,8 +289,7 @@ def dependence_subtree(tree: StagedTree, aldag: Aldag, target: int) -> StagedTre
     """
     if aldag.dag.p != tree.p:
         raise InvalidArgumentError("tree and ALDAG disagree on p")
-    if not 0 <= target < tree.p:
-        raise InvalidArgumentError(f"target {target} out of range")
+    target = _index(target, tree.p, "target")
     parents = aldag.dag.parents(target)
     space = tree.space
     # the target's stages on the grid of its predecessors, and their values

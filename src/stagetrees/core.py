@@ -22,6 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Any, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -72,6 +73,14 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
+def _index(value, stop: int, name: str, start: int = 0) -> int:
+    """`value` as an int in start..stop-1; a bool, float or str is refused too."""
+    i = _integer(value, name)
+    if not start <= i < stop:
+        raise InvalidArgumentError(f"{name} {i} out of range")
+    return i
+
+
 # ---------------------------------------------------------------------------
 # sample space and lexicographic indexing
 
@@ -118,7 +127,7 @@ class SampleSpace:
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.variables)
 
-    @property
+    @cached_property  # read on every lex_index call
     def level_counts(self) -> tuple[int, ...]:
         return tuple(len(levels) for _, levels in self.variables)
 
@@ -128,7 +137,7 @@ class SampleSpace:
 
     def prefix_cells(self, length: int) -> int:
         """Number of value combinations of the first `length` variables."""
-        return math.prod(self.level_counts[:length])
+        return math.prod(self.level_counts[:_index(length, self.p + 1, "prefix length")])
 
     def index_of(self, name: str) -> int:
         try:
@@ -137,11 +146,11 @@ class SampleSpace:
             raise InvalidArgumentError(f"unknown variable {name!r}") from None
 
     def levels_of(self, i: int) -> tuple[str, ...]:
-        return self.variables[i][1]
+        return self.variables[_index(i, self.p, "variable")][1]
 
     def configurations(self, length: int | None = None):
         """Iterate level-index tuples of the given prefix length (default p), last coordinate fastest."""
-        length = self.p if length is None else length
+        length = self.p if length is None else _index(length, self.p + 1, "prefix length")
         return itertools.product(*(range(k) for k in self.level_counts[:length]))
 
     def reorder(self, order: Sequence[int]) -> "SampleSpace":
@@ -170,10 +179,8 @@ def lex_index(space: SampleSpace, prefix: Sequence[int]) -> int:
 
 def lex_unindex(space: SampleSpace, index: int, length: int) -> tuple[int, ...]:
     """Prefix configuration of the given length at `index`."""
-    if not 0 <= length <= space.p:
-        raise InvalidArgumentError("invalid prefix length")
-    if not 0 <= index < space.prefix_cells(length):
-        raise InvalidArgumentError("index out of range")
+    length = _index(length, space.p + 1, "prefix length")
+    index = _index(index, space.prefix_cells(length), "index")
     sizes = space.level_counts
     out = [0] * length
     for j in range(length - 1, -1, -1):
@@ -283,15 +290,15 @@ class StagedTree:
 
     def symbols_at(self, depth: int) -> tuple[int, ...]:
         """Stage symbols at a depth; depth 0 is the implicit root stage (0,)."""
-        if depth == 0:
-            return (0,)
-        return self.stage_vectors[depth - 1]
+        depth = _index(depth, self.p, "depth")
+        return self.stage_vectors[depth - 1] if depth else (0,)
 
     def stage_count(self, depth: int) -> int:
         """Number of stages at a depth: the canonical ids are 0..count-1."""
         return max(self.symbols_at(depth)) + 1
 
     def distributions_at(self, depth: int) -> Mapping[Hashable, tuple[float, ...]]:
+        depth = _index(depth, self.p, "depth")
         if self.fitted is None or self.fitted[depth] is None:
             raise UnfittedModelError(f"no fitted distributions at depth {depth}")
         return self.fitted[depth]
@@ -302,10 +309,8 @@ class StagedTree:
 
     def replace_level(self, depth: int, symbols: Sequence[Hashable]) -> "StagedTree":
         """Copy with one stage vector replaced; fitted distributions are dropped."""
-        if not 1 <= depth < self.p:
-            raise InvalidArgumentError(f"stage vectors exist for depths 1..{self.p - 1} only")
         vectors = list(self.stage_vectors)
-        vectors[depth - 1] = symbols
+        vectors[_index(depth, self.p, "depth", 1) - 1] = symbols
         return StagedTree(self.space, tuple(vectors))
 
 
@@ -341,13 +346,15 @@ class Dag:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self) -> None:
-        edges = frozenset((int(j), int(i)) for j, i in self.edges)
-        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "p", _integer(self.p, "p"))
         if self.p < 1:
             raise InvalidArgumentError("p must be positive")
+        edges = frozenset((_index(j, self.p, "vertex"), _index(i, self.p, "vertex"))
+                          for j, i in self.edges)
+        object.__setattr__(self, "edges", edges)
         for j, i in edges:
-            if not 0 <= j < i < self.p:
-                raise InvalidArgumentError(f"edge ({j}, {i}) violates 0 <= tail < head < p")
+            if not j < i:
+                raise InvalidArgumentError(f"edge ({j}, {i}) needs tail < head")
 
     @classmethod
     def empty(cls, p: int) -> "Dag":
@@ -362,6 +369,7 @@ class Dag:
         return tuple(sorted(self.edges))
 
     def parents(self, i: int) -> tuple[int, ...]:
+        i = _index(i, self.p, "vertex")
         return tuple(sorted(j for j, h in self.edges if h == i))
 
 
@@ -385,7 +393,7 @@ LABEL_ORDER = tuple(DependenceLabel)
 class Aldag:
     """A DAG over p variables with a dependence label on every edge.
 
-    `dag` is derived from the label keys; Dag refuses an edge outside 0 <= j < i < p.
+    `dag` is derived from the label keys; Dag refuses a key that is not an edge j < i < p.
     """
 
     p: int
@@ -393,9 +401,10 @@ class Aldag:
     dag: Dag = field(init=False)
 
     def __post_init__(self) -> None:
-        labels = {(int(j), int(i)): DependenceLabel(v) for (j, i), v in self.labels.items()}
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "dag", Dag(self.p, frozenset(labels)))
+        dag = Dag(self.p, frozenset(self.labels))
+        object.__setattr__(self, "labels", {(j, i): DependenceLabel(self.labels[j, i])
+                                            for j, i in dag.sorted_edges})
+        object.__setattr__(self, "dag", dag)
 
     def census(self) -> tuple[int, int, int, int, int]:
         """Edge counts ordered (total, context, partial, context/partial, local)."""
@@ -416,10 +425,14 @@ class Dataset:
     _tables: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
+        raw = np.asarray(self.counts).reshape(-1)
         try:
-            counts = np.asarray(self.counts, dtype=np.int64).reshape(-1).copy()
+            with np.errstate(invalid="ignore"):  # NaN and inf fail the check below
+                counts = raw.astype(np.int64)
         except OverflowError:
             raise InvalidArgumentError("a count is out of the int64 range") from None
+        if not np.array_equal(counts, raw):
+            raise InvalidArgumentError("counts must be whole numbers in the int64 range")
         if counts.shape[0] != self.space.n_cells:
             raise InvalidArgumentError(
                 f"expected {self.space.n_cells} cells, got {counts.shape[0]}")
@@ -436,8 +449,11 @@ class Dataset:
     def from_config_counts(cls, space: SampleSpace,
                            items: Iterable[tuple[Sequence[int], int]]) -> "Dataset":
         counts = np.zeros(space.n_cells, dtype=np.int64)
-        total = 0
+        total, p = 0, space.p
         for config, c in items:
+            c = _integer(c, "a count")
+            if len(config) != p:
+                raise InvalidArgumentError(f"configuration {config!r} needs {p} coordinates")
             # checked before the int64 addition can overflow or wrap
             if c < 0:
                 raise InvalidArgumentError("negative counts")
@@ -466,9 +482,9 @@ class Dataset:
         coordinate fastest; column k is level k of `v`.  The array is float64
         and read-only; the last table built for each `v` is kept.
         """
-        keep = [_integer(i, "a variable index") for i in (*preds, v)]
-        if len(set(keep).intersection(range(self.space.p))) < len(keep):
-            raise InvalidArgumentError(f"table indices must be distinct and below {self.space.p}")
+        keep = [_index(i, self.space.p, "variable") for i in (*preds, v)]
+        if len(set(keep)) < len(keep):
+            raise InvalidArgumentError("table indices must be distinct")
         preds, v = tuple(keep[:-1]), keep[-1]
         if v not in self._tables or self._tables[v][0] != preds:
             others = tuple(i for i in range(self.space.p) if i not in keep)

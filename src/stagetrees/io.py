@@ -434,13 +434,18 @@ class ModelDocument:
 # ---------------------------------------------------------------------------
 # DAGs and spaces as JSON
 
+def _names(names, p: int) -> list[str]:
+    """One string per variable, checked before anything is written."""
+    names = [_str(x) for x in names]
+    if len(names) != p:
+        raise InvalidArgumentError("wrong number of variable names")
+    return names
+
+
 def save_dag(dag: Dag, path, names=None) -> None:
     doc: dict = {"p": dag.p}
     if names is not None:
-        names = list(names)
-        if len(names) != dag.p:
-            raise InvalidArgumentError("wrong number of variable names")
-        doc["variables"] = names
+        doc["variables"] = _names(names, dag.p)
     doc["edges"] = [list(e) for e in dag.sorted_edges]
     _atomic_write(path, _encode(doc))
 
@@ -448,11 +453,7 @@ def save_dag(dag: Dag, path, names=None) -> None:
 def _dag_from_json(doc: dict):
     dag = Dag(_int(doc["p"]), frozenset((_int(j), _int(i)) for j, i in doc["edges"]))
     names = doc.get("variables")
-    if names is not None:
-        names = [_str(x) for x in _array(names)]
-        if len(names) != dag.p:
-            raise InvalidArgumentError("wrong number of variable names")
-    return dag, names
+    return dag, None if names is None else _names(_array(names), dag.p)
 
 
 def load_dag(path):
@@ -476,11 +477,7 @@ def _dot_quote(s: str) -> str:
 
 
 def _aldag_dot(aldag: Aldag, names) -> str:
-    if names is None:
-        names = [f"x{i + 1}" for i in range(aldag.dag.p)]
-    names = list(names)
-    if len(names) != aldag.dag.p:
-        raise InvalidArgumentError("wrong number of variable names")
+    names = [f"x{i + 1}" for i in range(aldag.p)] if names is None else _names(names, aldag.p)
     lines = ["digraph aldag {", "  rankdir=LR;", "  node [shape=ellipse];"]
     for name in names:
         lines.append(f"  {_dot_quote(name)};")

@@ -43,6 +43,7 @@ from .core import (
     SampleSpace,
     StagedTree,
     UnsupportedSizeError,
+    _index,
     _integer,
 )
 from .scoring import FitConfig, _loglik, _stage_counts, score
@@ -124,13 +125,9 @@ class SearchTrace:
 
 
 def _levels_to_search(p: int, cfg: SearchConfig):
-    levels = range(1, p)
     if cfg.scope is None:
-        return list(levels)
-    bad = [d for d in cfg.scope if d not in levels]
-    if bad:
-        raise InvalidArgumentError(f"scope depths {bad} outside 1..{p - 1}")
-    return list(cfg.scope)
+        return list(range(1, p))
+    return [_index(d, p, "scope depth", 1) for d in cfg.scope]
 
 
 # candidate count vectors scored per block; bounds the memory of one search step
@@ -445,9 +442,7 @@ def learn_dag(data: Dataset, cfg: SearchConfig = SearchConfig(),
     """
     p = data.space.p
     if sink is not None:
-        sink = _integer(sink, "sink")
-        if not 0 <= sink < p:
-            raise InvalidArgumentError(f"sink {sink} out of range")
+        sink = _index(sink, p, "sink")
     tree, _ = _run_search(partial(_parent_toggles, sink=sink),
                           StagedTree.one_stage(data.space), data, cfg)
     sizes = data.space.level_counts
@@ -492,9 +487,7 @@ def enumerate_orders(data: Dataset, fixed_last: int | str | None = None,
     last = None
     if fixed_last is not None:
         last = (data.space.index_of(fixed_last) if isinstance(fixed_last, str)
-                else _integer(fixed_last, "fixed_last"))
-        if not 0 <= last < p:
-            raise InvalidArgumentError(f"fixed_last {fixed_last!r} out of range")
+                else _index(fixed_last, p, "fixed_last"))
     searched = set(_levels_to_search(p, cfg))
     unit = _stage_cost(data, cfg)
     sizes = data.space.level_counts

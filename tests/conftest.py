@@ -74,6 +74,11 @@ def titanic_context_tree(titanic) -> st.StagedTree:
 # ---------------------------------------------------------------------------
 # small synthetic helpers
 
+def space_of(*sizes: int) -> st.SampleSpace:
+    return st.SampleSpace(tuple(
+        (f"x{i}", tuple(str(v) for v in range(k))) for i, k in enumerate(sizes)))
+
+
 @pytest.fixture(scope="session")
 def binary_pair_space() -> st.SampleSpace:
     return st.SampleSpace((("a", ("0", "1")), ("b", ("0", "1"))))

@@ -18,7 +18,7 @@ import stagetrees as st
 from stagetrees.cli import main as cli_main
 
 from conftest import (ACCEPTANCE_EXPECTED, ACCEPTANCE_RESULTS,
-                      random_dataset, random_space, random_staging)
+                      random_dataset, random_space, random_staging, space_of)
 from oracles import d_separated_by_paths, edge_label_brute_force
 
 L = st.DependenceLabel
@@ -43,11 +43,6 @@ def set_partitions(n: int):
                 break
         else:
             return
-
-
-def space_of(*sizes: int) -> st.SampleSpace:
-    return st.SampleSpace(tuple(
-        (f"x{i}", tuple(str(v) for v in range(k))) for i, k in enumerate(sizes)))
 
 
 @pytest.fixture(scope="module")

@@ -8,16 +8,11 @@ from hypothesis import given, settings, strategies as hs
 
 import stagetrees as st
 
-from conftest import draw_level, random_space, random_staging
+from conftest import draw_level, random_space, random_staging, space_of
 from oracles import (classify_level_by_tuples, dag_edges_brute_force, d_separated_by_paths,
                      dependence_subtree_by_configurations, edge_label_brute_force)
 
 L = st.DependenceLabel
-
-
-def space_of(*sizes: int) -> st.SampleSpace:
-    return st.SampleSpace(tuple(
-        (f"x{i}", tuple(str(v) for v in range(k))) for i, k in enumerate(sizes)))
 
 
 def draw_tree(draw) -> st.StagedTree:

@@ -9,13 +9,8 @@ from hypothesis import given, settings, strategies as hs
 
 import stagetrees as st
 
-from conftest import random_space, random_staging
+from conftest import random_space, random_staging, space_of
 from oracles import table_by_tally
-
-
-def space_of(*sizes: int) -> st.SampleSpace:
-    return st.SampleSpace(tuple(
-        (f"x{i}", tuple(str(v) for v in range(k))) for i, k in enumerate(sizes)))
 
 
 class TestLexIndexing:
@@ -309,6 +304,10 @@ class TestDataset:
         with pytest.raises(st.InvalidArgumentError, match="total"):
             st.Dataset.from_config_counts(space_of(2, 2), items)
 
+    def test_integral_float_counts_accepted(self):
+        data = st.Dataset(space_of(2, 2), np.array([1.0, 0.0, 2.0, 3.0]))
+        assert data.counts.dtype == np.int64 and data.counts.tolist() == [1, 0, 2, 3]
+
     def test_total_of_max_count_accepted(self):
         data = st.Dataset.from_config_counts(space_of(2, 2), [((0, 0), 2**53 - 1), ((1, 0), 1)])
         assert data.n == st.core.MAX_COUNT == 2**53
@@ -374,6 +373,40 @@ class TestTable:
             titanic.table(preds, v)
 
 
+def saturated_fit(s: st.SampleSpace) -> st.StagedTree:
+    return st.fit(st.StagedTree.saturated(s), st.Dataset(s, [1] * s.n_cells))
+
+
+# (id, call with index x on space_of(2, 2), argument name, smallest index too large):
+# each argument takes a bool, a float, a negative and a too-large index
+INDEX_ARGUMENTS = [
+    ("symbols-at", lambda s, x: st.StagedTree.saturated(s).symbols_at(x), "depth", 2),
+    ("stage-count", lambda s, x: st.StagedTree.saturated(s).stage_count(x), "depth", 2),
+    ("distributions-at", lambda s, x: saturated_fit(s).distributions_at(x), "depth", 2),
+    ("replace-level", lambda s, x: st.StagedTree.saturated(s).replace_level(x, (0, 0)),
+     "depth", 2),
+    ("prefix-cells", lambda s, x: s.prefix_cells(x), "prefix length", 3),
+    ("configurations", lambda s, x: s.configurations(x), "prefix length", 3),
+    ("levels-of", lambda s, x: s.levels_of(x), "variable", 2),
+    ("unindex-length", lambda s, x: st.lex_unindex(s, 0, x), "prefix length", 3),
+    ("unindex-index", lambda s, x: st.lex_unindex(s, x, 2), "index", 4),
+    ("dag-edge", lambda s, x: st.Dag(2, {(0, x)}), "vertex", 2),
+    ("aldag-edge", lambda s, x: st.Aldag(2, {(0, x): st.DependenceLabel.TOTAL}), "vertex", 2),
+    ("dag-parents", lambda s, x: st.Dag.empty(2).parents(x), "vertex", 2),
+    ("oracle-head", lambda s, x: st.classify_edge_oracle(st.StagedTree.saturated(s), 0, x),
+     "head", 2),
+    ("oracle-tail", lambda s, x: st.classify_edge_oracle(st.StagedTree.saturated(s), x, 1),
+     "tail", 1),
+]
+INDEX_CASES = [(lambda s, call=call, x=x: call(s, x), st.InvalidArgumentError, match)
+               for _, call, name, large in INDEX_ARGUMENTS
+               for x, match in [(True, "must be an integer"), (1.0, "must be an integer"),
+                                (-1, f"{name} -1 out of range"),
+                                (large, f"{name} {large} out of range")]]
+INDEX_IDS = [f"{entry}-{kind}" for entry, *_ in INDEX_ARGUMENTS
+             for kind in ("bool", "float", "negative", "too-large")]
+
+
 class TestRefusals:
     @pytest.mark.parametrize("call,error,match", [
         (lambda s: st.SampleSpace((("a", ("x", "x")),)), st.InvalidArgumentError,
@@ -396,10 +429,32 @@ class TestRefusals:
         (lambda s: st.Dataset(s, [1, 2, 3]), st.InvalidArgumentError, "expected 4 cells"),
         (lambda s: st.Dataset.from_config_counts(s, [((0, 0), -1)]), st.InvalidArgumentError,
          "negative"),
+        # d_separated and dependence_subtree refused a negative or too-large index already
+        (lambda s: st.d_separated(st.Dag.empty(2), [0], [True]), st.InvalidArgumentError,
+         "must be an integer"),
+        (lambda s: st.d_separated(st.Dag.empty(2), [0], [1.0]), st.InvalidArgumentError,
+         "must be an integer"),
+        (lambda s: st.dependence_subtree(st.StagedTree.saturated(s), st.Aldag(2, {}), True),
+         st.InvalidArgumentError, "must be an integer"),
+        (lambda s: st.dependence_subtree(st.StagedTree.saturated(s), st.Aldag(2, {}), 1.0),
+         st.InvalidArgumentError, "must be an integer"),
+        (lambda s: st.Dag(True, frozenset()), st.InvalidArgumentError, "must be an integer"),
+        (lambda s: st.Dag(1.5, frozenset()), st.InvalidArgumentError, "must be an integer"),
+        (lambda s: st.Dataset(s, [0.5, 1.5, 2, 3]), st.InvalidArgumentError, "whole numbers"),
+        (lambda s: st.Dataset(s, [np.nan, 1, 2, 3]), st.InvalidArgumentError, "whole numbers"),
+        (lambda s: st.Dataset.from_config_counts(s, [((1,), 5)]), st.InvalidArgumentError,
+         "needs 2 coordinates"),
+        (lambda s: st.Dataset.from_config_counts(s, [((0, 1), 5.5)]), st.InvalidArgumentError,
+         "must be an integer"),
+        (lambda s: st.Dataset.from_config_counts(s, [((0, 1), True)]), st.InvalidArgumentError,
+         "must be an integer"),
+        *INDEX_CASES,
     ], ids=["duplicate-levels", "unknown-name", "non-permutation", "prefix-too-long",
             "bad-prefix-length", "stage-vector-count", "fitted-entry-count",
             "distribution-length", "unfitted", "refines-across-spaces", "empty-dag",
-            "cell-count", "negative-config-count"])
+            "cell-count", "negative-config-count", "dsep-bool", "dsep-float", "subtree-bool",
+            "subtree-float", "dag-p-bool", "dag-p-float", "fractional-counts", "nan-count",
+            "short-configuration", "float-config-count", "bool-config-count", *INDEX_IDS])
     def test_refused(self, call, error, match):
         with pytest.raises(error, match=match):
             call(space_of(2, 2))

@@ -12,15 +12,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as hs
 
 import stagetrees as st
+from conftest import space_of
 from oracles import read_csv_by_rows
 from stagetrees.cli import main
 
 L = st.DependenceLabel
-
-
-def space_of(*sizes: int) -> st.SampleSpace:
-    return st.SampleSpace(tuple(
-        (f"x{i}", tuple(str(v) for v in range(k))) for i, k in enumerate(sizes)))
 
 
 def parse_dot(text: str) -> tuple[int, int]:
@@ -670,6 +666,15 @@ class TestWrites:
             {"format_version": 1, "p": 2, "variables": ["a"], "edges": []}))
         with pytest.raises(st.InvalidArgumentError, match="wrong number of variable names"):
             call(tmp_path)
+
+    @pytest.mark.parametrize("call", [
+        lambda d: st.save_dag(st.Dag.empty(2), d / "out", [1, 2]),
+        lambda d: st.write_dot(st.Aldag(2, {}), d / "out", names=["a", 2]),
+    ], ids=["save-dag", "write-dot"])
+    def test_non_string_names_write_nothing(self, tmp_path, call):
+        with pytest.raises(st.InvalidArgumentError, match="expected a string"):
+            call(tmp_path)
+        assert os.listdir(tmp_path) == []
 
 
 class TestWriteDot:

@@ -12,18 +12,13 @@ from stagetrees import learning
 from stagetrees.learning import (_column_joins, _column_merge_groups, _merged_loglik, _pair_joins,
                                  _search_level, _vertex_moves)
 
-from conftest import draw_level, random_space, random_dataset
+from conftest import draw_level, random_space, random_dataset, space_of
 from oracles import (bhc_by_pairs, bhc_level_by_rescan, column_merge_groups_by_full_walk,
                      csbhc_level_by_rescan, enumerate_orders_by_permutations,
                      hc_level_by_rescan, index_order_objective_by_permutations,
                      learn_dag_by_global_toggles)
 
 L = st.DependenceLabel
-
-
-def space_of(*sizes: int) -> st.SampleSpace:
-    return st.SampleSpace(tuple(
-        (f"x{i}", tuple(str(v) for v in range(k))) for i, k in enumerate(sizes)))
 
 
 def assert_trace_consistent(start, result, trace, data, cfg=st.SearchConfig()):
@@ -775,8 +770,13 @@ class TestRefusals:
         (lambda d: st.learn_dag(d, sink=2), "sink 2 out of range"),
         (lambda d: st.enumerate_orders(d, algo="anneal"), "unknown search algorithm"),
         (lambda d: st.enumerate_orders(d, fixed_last=2), "fixed_last 2 out of range"),
+        (lambda d: st.bhc(st.StagedTree.saturated(d.space), d, st.SearchConfig(scope=(0,))),
+         "scope depth 0 out of range"),
+        (lambda d: st.bhc(st.StagedTree.saturated(d.space), d, st.SearchConfig(scope=(2,))),
+         "scope depth 2 out of range"),
     ], ids=["start-on-other-space", "default-start-algo", "sink-out-of-range",
-            "order-search-algo", "fixed-last-out-of-range"])
+            "order-search-algo", "fixed-last-out-of-range", "scope-depth-zero",
+            "scope-depth-too-large"])
     def test_refused(self, call, match):
         data = st.Dataset(space_of(2, 2), [3, 1, 2, 4])
         with pytest.raises(st.InvalidArgumentError, match=match):

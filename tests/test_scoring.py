@@ -9,13 +9,8 @@ import pytest
 import stagetrees as st
 from stagetrees.scoring import _loglik
 
-from conftest import random_space, random_staging, random_dataset
+from conftest import random_space, random_staging, random_dataset, space_of
 from oracles import bic_by_hand
-
-
-def space_of(*sizes: int) -> st.SampleSpace:
-    return st.SampleSpace(tuple(
-        (f"x{i}", tuple(str(v) for v in range(k))) for i, k in enumerate(sizes)))
 
 
 class TestFit:
