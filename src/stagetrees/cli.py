@@ -14,7 +14,8 @@ from .conversion import d_separated, dag_to_staged_tree, dependence_subtree, sta
 from .core import Dataset, InvalidArgumentError, LABEL_ORDER, _index
 from .io import (DataError, ModelDocument, _csv_columns, _score_json, load_dag, load_space,
                  read_csv, write_dot)
-from .learning import SearchConfig, default_start, enumerate_orders, learn_dag, refine_dag, _SEARCHES
+from .learning import (SearchConfig, default_start, enumerate_orders, learn_dag, refine_dag,
+                       _JOIN_SEARCHES, _SEARCHES)
 from .scoring import fit, score
 
 __all__ = ["main"]
@@ -166,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("learn", help="learn a staged tree from data")
     _data_flags(p)
-    p.add_argument("--algo", choices=("hc", "bhc", "csbhc"), default="bhc")
+    p.add_argument("--algo", choices=tuple(_SEARCHES), default="bhc")
     p.add_argument("--order", nargs="+", default=None, help="variable order to use")
     p.add_argument("--fix-last", default=None,
                    help="with --enumerate-orders, pin this variable last")
@@ -180,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     _data_flags(p)
     p.add_argument("--dag", default=None,
                    help="DAG document; learned from the data when omitted")
-    p.add_argument("--algo", choices=("bhc", "csbhc"), default="bhc")
+    p.add_argument("--algo", choices=_JOIN_SEARCHES, default="bhc")
     p.add_argument("--out", required=True, help="model document to write")
     p.set_defaults(func=_cmd_refine)
 

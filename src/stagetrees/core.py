@@ -163,13 +163,17 @@ class SampleSpace:
 def lex_index(space: SampleSpace, prefix: Sequence[int]) -> int:
     """Position of a prefix configuration, last coordinate fastest.
 
-    The inverse is :func:`lex_unindex`.
+    Each coordinate is a Python or numpy integer among its variable's
+    levels; a bool, float or str is refused.  The inverse is
+    :func:`lex_unindex`.
     """
     if len(prefix) > space.p:
         raise InvalidArgumentError("prefix longer than the variable list")
     sizes = space.level_counts
     idx = 0
     for j, x in enumerate(prefix):
+        if type(x) is not int:  # the common case skips the call: read_csv runs this per cell
+            x = _integer(x, "a level index")
         if not 0 <= x < sizes[j]:
             raise InvalidArgumentError(
                 f"level index {x} out of range for variable {space.names[j]!r}")
@@ -426,6 +430,8 @@ class Dataset:
 
     def __post_init__(self) -> None:
         raw = np.asarray(self.counts).reshape(-1)
+        if raw.dtype == bool:
+            raise InvalidArgumentError("counts must be whole numbers, not bools")
         try:
             with np.errstate(invalid="ignore"):  # NaN and inf fail the check below
                 counts = raw.astype(np.int64)

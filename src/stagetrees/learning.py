@@ -49,13 +49,13 @@ from .core import (
 from .scoring import FitConfig, _loglik, _stage_counts, score
 
 __all__ = [
-    "UnsupportedSizeError",
     "SearchConfig",
     "TraceStep",
     "SearchTrace",
     "bhc",
     "hc",
     "csbhc",
+    "default_start",
     "refine_dag",
     "learn_dag",
     "enumerate_orders",
@@ -410,7 +410,9 @@ def default_start(algo: str, space: SampleSpace) -> StagedTree:
                                    for d in range(1, space.p)))
 
 
-_SEARCHES = {"bhc": bhc, "hc": hc, "csbhc": csbhc}
+# in the order the CLI lists them; refinement may only coarsen, so it takes the join-only ones
+_SEARCHES = {"hc": hc, "bhc": bhc, "csbhc": csbhc}
+_JOIN_SEARCHES = ("bhc", "csbhc")
 _MOVES = {"bhc": _pair_joins, "hc": _vertex_moves, "csbhc": _column_joins}
 
 
@@ -422,7 +424,7 @@ def refine_dag(dag: Dag, data: Dataset, algo: str = "bhc",
     join-only search, and classifies the result.  The returned ALDAG's edge
     set is always a subset of the input DAG's.
     """
-    if algo not in ("bhc", "csbhc"):
+    if algo not in _JOIN_SEARCHES:
         raise InvalidArgumentError("refinement uses the join-only searches bhc or csbhc")
     tree, _ = _SEARCHES[algo](dag_to_staged_tree(dag, data.space), data, cfg)
     aldag, _ = staged_tree_to_aldag(tree)

@@ -134,6 +134,7 @@ def joint_probability(tree: StagedTree, x) -> float:
         raise UnfittedModelError("joint_probability needs a fully fitted tree")
     if len(x) != tree.p:
         raise InvalidArgumentError(f"configuration must have length {tree.p}")
+    lex_index(tree.space, x)  # refuses a coordinate that is not one of its variable's levels
     prob = 1.0
     for d in range(tree.p):
         sym = tree.symbols_at(d)[lex_index(tree.space, x[:d])]

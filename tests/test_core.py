@@ -35,6 +35,11 @@ class TestLexIndexing:
                         config = st.lex_unindex(space, idx, length)
                         assert st.lex_index(space, config) == idx
 
+    def test_numpy_coordinates_give_an_int(self):
+        space = space_of(2, 3)
+        idx = st.lex_index(space, (np.int64(1), np.int32(2)))
+        assert idx == 5 and type(idx) is int
+
     def test_out_of_range_rejected(self):
         space = space_of(2, 3)
         with pytest.raises(st.InvalidArgumentError):
@@ -448,13 +453,23 @@ class TestRefusals:
          "must be an integer"),
         (lambda s: st.Dataset.from_config_counts(s, [((0, 1), True)]), st.InvalidArgumentError,
          "must be an integer"),
+        (lambda s: st.lex_index(s, (1.5,)), st.InvalidArgumentError, "must be an integer"),
+        (lambda s: st.lex_index(s, (True, 1)), st.InvalidArgumentError, "must be an integer"),
+        (lambda s: st.lex_index(s, ("1",)), st.InvalidArgumentError, "must be an integer"),
+        (lambda s: st.Dataset.from_config_counts(s, [((True, 0), 3)]),
+         st.InvalidArgumentError, "must be an integer"),
+        (lambda s: st.Dataset.from_config_counts(s, [((0.5, 0), 3)]),
+         st.InvalidArgumentError, "must be an integer"),
+        (lambda s: st.Dataset(s, [True, False, True, True]), st.InvalidArgumentError, "bools"),
         *INDEX_CASES,
     ], ids=["duplicate-levels", "unknown-name", "non-permutation", "prefix-too-long",
             "bad-prefix-length", "stage-vector-count", "fitted-entry-count",
             "distribution-length", "unfitted", "refines-across-spaces", "empty-dag",
             "cell-count", "negative-config-count", "dsep-bool", "dsep-float", "subtree-bool",
             "subtree-float", "dag-p-bool", "dag-p-float", "fractional-counts", "nan-count",
-            "short-configuration", "float-config-count", "bool-config-count", *INDEX_IDS])
+            "short-configuration", "float-config-count", "bool-config-count",
+            "lex-index-float", "lex-index-bool", "lex-index-str", "bool-config-coordinate",
+            "float-config-coordinate", "bool-counts", *INDEX_IDS])
     def test_refused(self, call, error, match):
         with pytest.raises(error, match=match):
             call(space_of(2, 2))

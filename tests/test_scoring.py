@@ -82,6 +82,20 @@ class TestJointProbability:
         with pytest.raises(st.InvalidArgumentError, match="length 4"):
             st.joint_probability(st.fit(titanic_bn_tree, titanic), (0, 0, 0))
 
+    @pytest.mark.parametrize("config,match", [
+        ((0, 0, 0, -1), "-1 out of range"), ((0, 0, 0, 5), "5 out of range"),
+        ((0, 0, 0, True), "must be an integer"), ((0.0, 0, 0, 1), "must be an integer"),
+    ], ids=["negative-last", "too-large-last", "bool-last", "float-first"])
+    def test_each_coordinate_checked(self, titanic, config, match):
+        fitted = st.fit(st.StagedTree.saturated(titanic.space), titanic)
+        with pytest.raises(st.InvalidArgumentError, match=match):
+            st.joint_probability(fitted, config)
+
+    def test_numpy_coordinates_give_the_same_value(self, titanic):
+        fitted = st.fit(st.StagedTree.saturated(titanic.space), titanic)
+        assert st.joint_probability(fitted, np.array([0, 0, 0, 1])) == \
+            st.joint_probability(fitted, (0, 0, 0, 1))
+
 
 class TestDegreesOfFreedom:
     def test_saturated_two_binary(self):
