@@ -68,9 +68,24 @@ class UnsupportedSizeError(ValueError):
 
 
 def _integer(value, name: str) -> int:
+    if type(value) is int:  # the common case skips the isinstance checks
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _real(value, name: str) -> float:
+    """`value` as a finite float; a bool, str, complex, None, NaN or infinity is refused."""
+    if type(value) is float and math.isfinite(value):  # the common case, as for _integer
+        return value
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(real := float(value)):
+                return real
+        except OverflowError:
+            raise InvalidArgumentError(f"{name} out of range") from None
+    raise InvalidArgumentError(f"{name} must be a finite real number, got {value!r}")
 
 
 def _index(value, stop: int, name: str, start: int = 0) -> int:
@@ -202,11 +217,6 @@ def canonical_symbols(symbols: Iterable[Hashable]) -> tuple[int, ...]:
 # staged trees
 
 
-# fitted: one entry per depth 0..p-1; entry d maps each stage symbol at depth d
-# (the root is symbol 0) to a distribution over variable d's levels
-Fitted = tuple  # tuple[Mapping[Hashable, tuple[float, ...]] | None, ...]
-
-
 @dataclass(frozen=True)
 class StagedTree:
     """An X-compatible staged tree: stage vectors plus optional fitted distributions.
@@ -225,11 +235,12 @@ class StagedTree:
         d's levels, keyed by the labels passed in `stage_vectors` and stored
         under the canonical ids; entry 0 holds the root distribution under
         symbol 0.  Individual depths may be None (partially fitted tree).
+        Each probability is a finite Python or numpy real, stored as float.
     """
 
     space: SampleSpace
     stage_vectors: tuple[tuple[int, ...], ...]
-    fitted: Fitted | None = None
+    fitted: tuple[Mapping[Hashable, tuple[float, ...]] | None, ...] | None = None
 
     def __post_init__(self) -> None:
         vectors = tuple(tuple(v) for v in self.stage_vectors)
@@ -244,13 +255,11 @@ class StagedTree:
         canonical = tuple(canonical_symbols(symbols) for symbols in vectors)
         object.__setattr__(self, "stage_vectors", canonical)
         if self.fitted is not None:
-            entries = tuple(self.fitted)
-            if len(entries) != self.space.p:
+            fitted = list(self.fitted)
+            if len(fitted) != self.space.p:
                 raise InvalidArgumentError("fitted needs one entry per depth 0..p-1")
-            fitted = []
-            for d, entry in enumerate(entries):
+            for d, entry in enumerate(fitted):
                 if entry is None:
-                    fitted.append(None)
                     continue
                 # the caller's labels -> canonical ids; the root is always 0
                 relabel = {0: 0} if d == 0 else dict(zip(vectors[d - 1], canonical[d - 1]))
@@ -259,18 +268,17 @@ class StagedTree:
                 k = self.space.level_counts[d]
                 rekeyed = {}
                 for sym, dist in entry.items():
-                    dist = tuple(float(x) for x in dist)
+                    dist = tuple(_real(x, "a probability") for x in dist)
                     if len(dist) != k:
                         raise InvalidArgumentError(
                             f"distribution for stage {sym!r} at depth {d} has length {len(dist)}")
-                    # written so that NaN, which fails every comparison, fails both checks
                     if not all(-PROB_TOL <= x <= 1 + PROB_TOL for x in dist):
                         raise InvalidArgumentError("probabilities must lie in [0, 1]")
                     if not abs(sum(dist) - 1.0) <= PROB_TOL:
                         raise InvalidArgumentError(
                             f"distribution for stage {sym!r} at depth {d} does not sum to 1")
                     rekeyed[relabel[sym]] = dist
-                fitted.append(rekeyed)
+                fitted[d] = rekeyed
             object.__setattr__(self, "fitted", tuple(fitted))
 
     # -- constructors ------------------------------------------------------
@@ -342,7 +350,8 @@ def staging_refines(fine: StagedTree, coarse: StagedTree) -> bool:
 class Dag:
     """DAG over variable indices 0..p-1; edges (j, i) require j < i.
 
-    The variable order is the topological order by construction, so
+    `edges` may be any iterable of pairs; it is stored as a frozenset of int
+    pairs.  The variable order is the topological order by construction, so
     acyclicity never needs checking.
     """
 
@@ -353,12 +362,17 @@ class Dag:
         object.__setattr__(self, "p", _integer(self.p, "p"))
         if self.p < 1:
             raise InvalidArgumentError("p must be positive")
-        edges = frozenset((_index(j, self.p, "vertex"), _index(i, self.p, "vertex"))
-                          for j, i in self.edges)
-        object.__setattr__(self, "edges", edges)
-        for j, i in edges:
-            if not j < i:
-                raise InvalidArgumentError(f"edge ({j}, {i}) needs tail < head")
+        object.__setattr__(self, "edges", frozenset(map(self._edge, self.edges)))
+
+    def _edge(self, edge) -> tuple[int, int]:
+        try:
+            j, i = edge
+        except (TypeError, ValueError):
+            raise InvalidArgumentError(f"an edge must be a pair (j, i), got {edge!r}") from None
+        j, i = _index(j, self.p, "vertex"), _index(i, self.p, "vertex")
+        if not j < i:
+            raise InvalidArgumentError(f"edge ({j}, {i}) needs tail < head")
+        return j, i
 
     @classmethod
     def empty(cls, p: int) -> "Dag":
@@ -389,6 +403,10 @@ class DependenceLabel(str, Enum):
     def __str__(self) -> str:
         return self.value
 
+    @classmethod
+    def _missing_(cls, value):
+        raise InvalidArgumentError(f"unknown dependence label {value!r}")
+
 
 LABEL_ORDER = tuple(DependenceLabel)
 
@@ -405,9 +423,9 @@ class Aldag:
     dag: Dag = field(init=False)
 
     def __post_init__(self) -> None:
-        dag = Dag(self.p, frozenset(self.labels))
-        object.__setattr__(self, "labels", {(j, i): DependenceLabel(self.labels[j, i])
-                                            for j, i in dag.sorted_edges})
+        dag = Dag(self.p, self.labels)
+        object.__setattr__(self, "labels", {edge: DependenceLabel(self.labels[edge])
+                                            for edge in dag.sorted_edges})
         object.__setattr__(self, "dag", dag)
 
     def census(self) -> tuple[int, int, int, int, int]:
@@ -430,7 +448,9 @@ class Dataset:
 
     def __post_init__(self) -> None:
         raw = np.asarray(self.counts).reshape(-1)
-        if raw.dtype == bool:
+        # np.asarray casts bools among ints to ints, so a list is checked element by element
+        if raw.dtype == bool or not isinstance(self.counts, np.ndarray) and any(
+                isinstance(c, (bool, np.bool_)) for c in np.asarray(self.counts, object).flat):
             raise InvalidArgumentError("counts must be whole numbers, not bools")
         try:
             with np.errstate(invalid="ignore"):  # NaN and inf fail the check below

@@ -25,8 +25,10 @@ from .core import (
     SampleSpace,
     StagedTree,
     UnsupportedSizeError,
+    _integer,
+    _real,
 )
-from .learning import MOVE_KINDS, SearchTrace, TraceStep
+from .learning import SearchTrace, TraceStep
 from .scoring import ScoreReport
 
 __all__ = [
@@ -297,23 +299,6 @@ def _finite(token: str) -> float:
     return value
 
 
-def _int(value) -> int:
-    """A field that must be a JSON integer: bools, floats and strings are refused."""
-    if type(value) is not int:
-        raise InvalidArgumentError(f"expected an integer, got {value!r}")
-    return value
-
-
-def _real(value) -> float:
-    """A field that must be a JSON number: bools and strings are refused."""
-    if type(value) not in (int, float):
-        raise InvalidArgumentError(f"expected a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise InvalidArgumentError(f"number {value} out of range") from None
-
-
 def _str(value) -> str:
     """A field that must be a JSON string: numbers, bools and null are refused."""
     if type(value) is not str:
@@ -328,13 +313,6 @@ def _array(value) -> list:
     return value
 
 
-def _move_kind(value) -> str:
-    """A trace step's kind: one of the search's move kinds."""
-    if value not in MOVE_KINDS:
-        raise InvalidArgumentError(f"unknown move kind {value!r}")
-    return value
-
-
 def _space_json(space: SampleSpace) -> list:
     return [{"name": name, "levels": list(lv)} for name, lv in space.variables]
 
@@ -346,8 +324,8 @@ def _space_from_json(payload) -> SampleSpace:
 
 def _score_json(report: ScoreReport) -> dict:
     """The score record of model documents and of the CLI's stdout."""
-    return {"log_likelihood": float(report.log_likelihood), "df": int(report.df),
-            "bic": float(report.bic), "aic": float(report.aic), "n": int(report.n)}
+    return {"log_likelihood": float(report.log_likelihood), "df": _integer(report.df, "df"),
+            "bic": float(report.bic), "aic": float(report.aic), "n": _integer(report.n, "n")}
 
 
 # ---------------------------------------------------------------------------
@@ -383,11 +361,11 @@ class ModelDocument:
                 [j, i, aldag.labels[(j, i)].value] for j, i in aldag.dag.sorted_edges]},
             "score": None if self.score is None else _score_json(self.score),
             "trace": None if trace is None else [{
-                "level": int(step.level),
+                "level": step.level,
                 "kind": step.kind,
-                "stages": [int(s) for s in step.stages],
-                "score_before": float(step.score_before),
-                "score_after": float(step.score_after),
+                "stages": list(step.stages),
+                "score_before": step.score_before,
+                "score_after": step.score_after,
             } for step in trace.steps],
         })
 
@@ -405,28 +383,28 @@ class ModelDocument:
     @classmethod
     def _from_document(cls, doc: dict) -> "ModelDocument":
         space = _space_from_json(doc["variables"])
-        vectors = [[_int(s) for s in symbols] for symbols in doc["stage_vectors"]]
+        # a StagedTree takes any hashable stage label, so the document's ids are checked here
+        vectors = [[_integer(s, "a stage id") for s in symbols] for symbols in doc["stage_vectors"]]
         fitted = None
         if doc.get("fitted") is not None:
-            fitted = tuple(None if level is None else
-                           {s: tuple(_real(x) for x in dist) for s, dist in enumerate(level)}
+            fitted = tuple(None if level is None else dict(enumerate(level))
                            for level in doc["fitted"])
         tree = StagedTree(space, vectors, fitted)
         aldag = None
         if doc.get("aldag") is not None:
-            aldag = Aldag(space.p, {(_int(j), _int(i)): label
-                                    for j, i, label in doc["aldag"]["edges"]})
+            edges = doc["aldag"]["edges"]
+            aldag = Aldag(space.p, {(j, i): label for j, i, label in edges})
+            _listed_once(edges, aldag.dag)
         report = None
         if doc.get("score") is not None:
             s = doc["score"]
-            report = ScoreReport(_real(s["log_likelihood"]), _int(s["df"]),
-                                 _real(s["bic"]), _real(s["aic"]), _int(s["n"]))
+            report = ScoreReport(_real(s["log_likelihood"], "log_likelihood"),
+                                 _integer(s["df"], "df"), _real(s["bic"], "bic"),
+                                 _real(s["aic"], "aic"), _integer(s["n"], "n"))
         trace = None
         if doc.get("trace") is not None:
             trace = SearchTrace(tuple(
-                TraceStep(_int(t["level"]), _move_kind(t["kind"]),
-                          tuple(_int(s) for s in t["stages"]),
-                          _real(t["score_before"]), _real(t["score_after"]))
+                TraceStep(t["level"], t["kind"], t["stages"], t["score_before"], t["score_after"])
                 for t in doc["trace"]))
         return cls(tree, aldag, report, trace)
 
@@ -450,8 +428,15 @@ def save_dag(dag: Dag, path, names=None) -> None:
     _atomic_write(path, _encode(doc))
 
 
+def _listed_once(edges: list, dag: Dag) -> None:
+    """A document lists each edge once: a repeat would be merged, and its label lost."""
+    if len(edges) != len(dag.edges):
+        raise InvalidArgumentError("an edge is listed twice")
+
+
 def _dag_from_json(doc: dict):
-    dag = Dag(_int(doc["p"]), frozenset((_int(j), _int(i)) for j, i in doc["edges"]))
+    dag = Dag(doc["p"], doc["edges"])
+    _listed_once(doc["edges"], dag)
     names = doc.get("variables")
     return dag, None if names is None else _names(_array(names), dag.p)
 

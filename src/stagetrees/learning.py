@@ -45,6 +45,7 @@ from .core import (
     UnsupportedSizeError,
     _index,
     _integer,
+    _real,
 )
 from .scoring import FitConfig, _loglik, _stage_counts, score
 
@@ -103,11 +104,21 @@ MOVE_KINDS = ("join", "split", "column-join", "add-parent", "drop-parent")
 
 @dataclass(frozen=True)
 class TraceStep:
+    """One accepted move; the integers and reals are checked and stored as int and float."""
+
     level: int
     kind: str  # one of MOVE_KINDS
-    stages: tuple
+    stages: tuple[int, ...]
     score_before: float
     score_after: float
+
+    def __post_init__(self) -> None:
+        if self.kind not in MOVE_KINDS:
+            raise InvalidArgumentError(f"unknown move kind {self.kind!r}")
+        object.__setattr__(self, "level", _integer(self.level, "a trace level"))
+        object.__setattr__(self, "stages", tuple(_integer(s, "a stage id") for s in self.stages))
+        object.__setattr__(self, "score_before", _real(self.score_before, "score_before"))
+        object.__setattr__(self, "score_after", _real(self.score_after, "score_after"))
 
 
 @dataclass(frozen=True)
@@ -340,10 +351,8 @@ def _run_search(candidates, start: StagedTree, data: Dataset, cfg: SearchConfig)
     Each level in scope runs `_search_level` to its fixpoint or `max_iter`;
     the trace records every accepted move with the running score.
     """
-    if start.space != data.space:
-        raise InvalidArgumentError("start tree and dataset use different sample spaces")
     unit = _stage_cost(data, cfg)
-    report = score(start, data, FitConfig())
+    report = score(start, data, FitConfig())  # refuses a start on another sample space
     current = report.bic if cfg.score == "bic" else report.aic
     steps: list[TraceStep] = []
     sizes = start.space.level_counts

@@ -17,6 +17,7 @@ from .core import (
     InvalidArgumentError,
     StagedTree,
     UnfittedModelError,
+    _real,
     lex_index,
 )
 
@@ -28,20 +29,15 @@ __all__ = ["FitConfig", "ScoreReport", "fit", "joint_probability",
 class FitConfig:
     """Smoothing for stage distributions.
 
-    smoothing : additive count added to every cell (0 = pure MLE; a stage
-        that was never observed then falls back to the uniform distribution).
-        A finite Python or numpy real, stored as float; a bool, a string or
-        a NaN or infinite value is refused with InvalidArgumentError.
+    smoothing : additive count added to every cell, a finite Python or numpy
+        real stored as float (0 = pure MLE; a stage that was never observed
+        then falls back to the uniform distribution).
     """
 
     smoothing: float = 0.0
 
     def __post_init__(self) -> None:
-        value = self.smoothing
-        if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
-                or not math.isfinite(value)):
-            raise InvalidArgumentError(f"smoothing must be a finite real number, got {value!r}")
-        object.__setattr__(self, "smoothing", float(value))
+        object.__setattr__(self, "smoothing", _real(self.smoothing, "smoothing"))
         if self.smoothing < 0:
             raise InvalidArgumentError("smoothing must be nonnegative")
 
@@ -135,10 +131,10 @@ def joint_probability(tree: StagedTree, x) -> float:
     if len(x) != tree.p:
         raise InvalidArgumentError(f"configuration must have length {tree.p}")
     lex_index(tree.space, x)  # refuses a coordinate that is not one of its variable's levels
-    prob = 1.0
-    for d in range(tree.p):
-        sym = tree.symbols_at(d)[lex_index(tree.space, x[:d])]
-        prob *= tree.fitted[d][sym][x[d]]
+    prob, vertex = 1.0, 0  # vertex: the position of the prefix x[:d] at depth d
+    for d, (k, level) in enumerate(zip(tree.space.level_counts, x)):
+        prob *= tree.fitted[d][tree.symbols_at(d)[vertex]][level]
+        vertex = vertex * k + int(level)  # a numpy uint8 level would wrap the index
     return prob
 
 

@@ -461,6 +461,23 @@ class TestRefusals:
         (lambda s: st.Dataset.from_config_counts(s, [((0.5, 0), 3)]),
          st.InvalidArgumentError, "must be an integer"),
         (lambda s: st.Dataset(s, [True, False, True, True]), st.InvalidArgumentError, "bools"),
+        (lambda s: st.Dataset(s, [True, 2, 3, 4]), st.InvalidArgumentError, "bools"),
+        (lambda s: st.Dataset(s, [[True, 2], [3, 4]]), st.InvalidArgumentError, "bools"),
+        (lambda s: st.StagedTree(s, [(0, 0)], ({0: ("0.5", "0.5")}, {0: (0.3, 0.7)})),
+         st.InvalidArgumentError, "finite real"),
+        (lambda s: st.StagedTree(s, [(0, 0)], ({0: (True, False)}, {0: (0.3, 0.7)})),
+         st.InvalidArgumentError, "finite real"),
+        (lambda s: st.StagedTree(s, [(0, 0)], ({0: "01"}, {0: (0.3, 0.7)})),
+         st.InvalidArgumentError, "finite real"),
+        (lambda s: st.StagedTree(s, [(0, 0)], ({0: (0.5 + 0j, 0.5)}, {0: (0.3, 0.7)})),
+         st.InvalidArgumentError, "finite real"),
+        (lambda s: st.StagedTree(s, [(0, 0)], ({0: (10 ** 400, 0)}, {0: (0.3, 0.7)})),
+         st.InvalidArgumentError, "out of range"),
+        (lambda s: st.Dag(3, {5}), st.InvalidArgumentError, "must be a pair"),
+        (lambda s: st.Dag(3, {(0, 1, 2)}), st.InvalidArgumentError, "must be a pair"),
+        (lambda s: st.Aldag(2, {(0, 1): 5}), st.InvalidArgumentError, "unknown dependence label"),
+        (lambda s: st.Aldag(2, {(0, 1): "bogus"}), st.InvalidArgumentError,
+         "unknown dependence label"),
         *INDEX_CASES,
     ], ids=["duplicate-levels", "unknown-name", "non-permutation", "prefix-too-long",
             "bad-prefix-length", "stage-vector-count", "fitted-entry-count",
@@ -469,7 +486,11 @@ class TestRefusals:
             "subtree-float", "dag-p-bool", "dag-p-float", "fractional-counts", "nan-count",
             "short-configuration", "float-config-count", "bool-config-count",
             "lex-index-float", "lex-index-bool", "lex-index-str", "bool-config-coordinate",
-            "float-config-coordinate", "bool-counts", *INDEX_IDS])
+            "float-config-coordinate", "bool-counts", "bool-among-counts",
+            "bool-among-nested-counts", "probability-string", "probability-bool",
+            "distribution-string", "probability-complex", "probability-overflow",
+            "dag-edge-not-a-pair", "dag-edge-triple", "aldag-label-number",
+            "aldag-label-unknown", *INDEX_IDS])
     def test_refused(self, call, error, match):
         with pytest.raises(error, match=match):
             call(space_of(2, 2))

@@ -573,6 +573,30 @@ class TestModelDocument:
         with pytest.raises(st.InvalidArgumentError, match="out of range"):
             st.ModelDocument.from_json(text.replace(bic, "1" * 400))
 
+    @pytest.mark.parametrize("build,match", [
+        (lambda: st.TraceStep(1, "bogus", (0, 1), 2.0, 1.0), "unknown move kind"),
+        (lambda: st.TraceStep(1.5, "join", (0, 1), 2.0, 1.0), "must be an integer"),
+        (lambda: st.TraceStep(1, "join", (0, 1.9), 2.0, 1.0), "must be an integer"),
+        (lambda: st.TraceStep(1, "join", (0, 1), "2.0", 1.0), "finite real"),
+        (lambda: st.ModelDocument(st.StagedTree.saturated(space_of(2, 2)),
+                                  score=st.ScoreReport(1.0, 1.5, 2.0, 3.0, 4)).to_json(),
+         "df must be an integer"),
+        (lambda: st.ModelDocument(st.StagedTree.saturated(space_of(2, 2)),
+                                  score=st.ScoreReport(1.0, 2, 2.0, 3.0, 4.0)).to_json(),
+         "n must be an integer"),
+    ], ids=["trace-kind", "trace-level", "trace-stage", "trace-score", "score-df", "score-n"])
+    def test_mistyped_record_fields_refused(self, build, match):
+        # refused where the record is built or written, never saved for the loader to refuse
+        with pytest.raises(st.InvalidArgumentError, match=match):
+            build()
+
+    def test_repeated_aldag_edge_rejected(self, titanic_generic_tree):
+        aldag, _ = st.staged_tree_to_aldag(titanic_generic_tree)
+        doc = json.loads(st.ModelDocument(titanic_generic_tree, aldag).to_json())
+        doc["aldag"]["edges"].append([*doc["aldag"]["edges"][0][:2], "total"])
+        with pytest.raises(st.InvalidArgumentError, match="listed twice"):
+            st.ModelDocument.from_json(json.dumps(doc))
+
     def test_float_precision_survives(self, tmp_path, titanic, titanic_bn_tree):
         doc = self.full_document(titanic, titanic_bn_tree)
         path = tmp_path / "model.json"
@@ -627,6 +651,14 @@ class TestDagAndSpaceDocuments:
         path.write_text(json.dumps(
             {"format_version": 1, "p": 2, "edges": [[1, 0]]}))
         with pytest.raises(st.InvalidArgumentError):
+            st.load_dag(path)
+
+    def test_repeated_edge_rejected_on_load(self, tmp_path):
+        # the same rule as for a labeled DAG's edges
+        path = tmp_path / "dag.json"
+        path.write_text(json.dumps(
+            {"format_version": 1, "p": 2, "edges": [[0, 1], [0, 1]]}))
+        with pytest.raises(st.InvalidArgumentError, match="listed twice"):
             st.load_dag(path)
 
 

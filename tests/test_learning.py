@@ -467,6 +467,16 @@ class TestEnumerateOrders:
         with pytest.raises(st.UnsupportedSizeError, match="level tables"):
             st.enumerate_orders(data, algo="hc")
 
+    def test_bhc_size_guard_before_any_search(self, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("searched a level before the size guard")
+        monkeypatch.setattr("stagetrees.learning._search_level", no_search)
+        # 9 x 4**8 = 589,824 level-table rows pass the rows guard, but the
+        # deepest level's 3**8 saturated stages would make a 6,561 x 6,561 matrix
+        data = st.Dataset(space_of(*([3] * 9)), np.ones(3 ** 9, dtype=np.int64))
+        with pytest.raises(st.UnsupportedSizeError, match="6561 x 6561 candidate matrix"):
+            st.enumerate_orders(data, algo="bhc")
+
     def test_titanic_fixed_last_age(self, titanic):
         order, tree = st.enumerate_orders(titanic, fixed_last="Age")
         assert order[-1] == "Age"

@@ -96,6 +96,16 @@ class TestJointProbability:
         assert st.joint_probability(fitted, np.array([0, 0, 0, 1])) == \
             st.joint_probability(fitted, (0, 0, 0, 1))
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int8])
+    def test_small_integer_coordinates_do_not_wrap(self, dtype):
+        # the last depth has 512 vertices, past the range of an 8-bit integer
+        space = space_of(*[2] * 10)
+        counts = np.random.default_rng(0).integers(1, 50, space.n_cells)
+        fitted = st.fit(st.StagedTree.saturated(space), st.Dataset(space, counts))
+        for x in itertools.product(range(2), repeat=10):
+            assert st.joint_probability(fitted, np.array(x, dtype=dtype)) == \
+                st.joint_probability(fitted, x)
+
 
 class TestDegreesOfFreedom:
     def test_saturated_two_binary(self):
@@ -188,6 +198,10 @@ class TestScore:
     def test_mistyped_smoothing_refused(self, smoothing):
         with pytest.raises(st.InvalidArgumentError, match="finite real"):
             st.FitConfig(smoothing=smoothing)
+
+    def test_overflowing_smoothing_refused(self):
+        with pytest.raises(st.InvalidArgumentError, match="out of range"):
+            st.FitConfig(smoothing=10 ** 400)
 
     def test_smoothing_stored_as_float(self):
         assert [st.FitConfig(smoothing=s).smoothing for s in (1, np.int8(2), np.float32(0.5))] \
